@@ -33,11 +33,18 @@ EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
 
+class UsageError(Exception):
+    """An option value out of range, or an input that is not text (exit 2)."""
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not UTF-8 text") from None
 
 
 def _load_code(spec: str) -> LinearCode:
@@ -106,6 +113,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_wenum(args: argparse.Namespace) -> int:
+    if args.partitions < 1:
+        raise UsageError(f"--partitions must be at least 1, got {args.partitions}")
     code = _load_code(args.input)
     w = weight_enumerator(code, max_dim=args.max_dim, partitions=args.partitions)
     sys.stdout.write(format_enumerator(w, csv=args.csv))
@@ -113,6 +122,8 @@ def _cmd_wenum(args: argparse.Namespace) -> int:
 
 
 def _cmd_macwilliams(args: argparse.Namespace) -> int:
+    if args.n < 0 or args.k < 0:
+        raise UsageError(f"--n and --k must be nonnegative, got {args.n} and {args.k}")
     w = parse_enumerator(_read_text(args.input), args.n)
     sys.stdout.write(format_enumerator(macwilliams(w, args.k), csv=args.csv))
     return EXIT_OK
@@ -314,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_PRECONDITION)
     except GF4CodesError as exc:
         return _fail(exc, EXIT_PRECONDITION)
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         return _fail(exc, EXIT_USAGE)
 
 

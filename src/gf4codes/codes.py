@@ -3,6 +3,10 @@
 Generator matrices, reduced row echelon form, hermitian duals, shortening,
 the circulant construction, the self-orthogonality and evenness predicates,
 and the matrix text format shared with the CLI.
+
+Row reduction and duals work on the (lo, hi) bitplanes of the rows, never
+coordinate by coordinate: a pivot is found from the lowest set bit of a
+row's support, and a row is eliminated with two XORs.
 """
 
 from __future__ import annotations
@@ -14,32 +18,69 @@ from .errors import MatrixFormatError
 from .gf4 import GF4Vector, delete_coordinate, hermitian_inner, inv, trace_inner, OMEGA, cyclic_shift
 
 
+def _multiples(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
+    """Bitplanes of x, omega*x and omega**2*x, given the bitplanes of x."""
+    # omega * (a*omega + b) = (a + b)*omega + a
+    return ((lo, hi), (hi, hi ^ lo), (hi ^ lo, lo))
+
+
+def _entry(lo: int, hi: int, bit: int) -> int:
+    """The coordinate of the bitplanes (lo, hi) at the single-bit mask `bit`."""
+    return (1 if lo & bit else 0) | (2 if hi & bit else 0)
+
+
 def rref(rows: Sequence[GF4Vector], n: int) -> tuple[tuple[int, ...], tuple[GF4Vector, ...]]:
     """Reduced row echelon form with deterministic leftmost pivots.
 
     Returns (pivot columns, reduced nonzero rows).  Pivot entries are 1 and
-    are the only nonzero entries in their columns.
+    are the only nonzero entries in their columns.  Every row must have
+    length n.
+
+    The reduction works on the rows' (lo, hi) bitplanes, never coordinate
+    by coordinate.  Each row is reduced in turn against the pivot rows
+    found so far, always at its lowest nonzero column, with two XORs
+    against the multiple of that pivot row which cancels the entry; a row
+    that reaches a column without a pivot row is scaled to 1 there and
+    becomes its pivot row.  Back-substitution from the last pivot then
+    clears every pivot column outside its own row.  Rows become vectors
+    again only on return.
     """
-    work = list(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        row = work[r].scale(inv(work[r][col]))
-        work[r] = row
-        for i in range(len(work)):
-            if i != r:
-                c = work[i][col]
-                if c:
-                    work[i] = work[i] + row.scale(c)
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(pivots), tuple(work[:r])
+    # Pivot bit -> _multiples of its row, which is 1 at that bit and zero
+    # at every lower one.
+    echelon: dict[int, tuple[tuple[int, int], ...]] = {}
+    # The reduced form depends only on the row space, not on the order of
+    # the rows.  Last first suits the bases dual() builds, one row per free
+    # column in ascending order: each row then stops at its own free column
+    # after at most one elimination per pivot of the primal code, instead
+    # of picking up the free columns of the rows before it.
+    for row in reversed(rows):
+        lo, hi = row.lo, row.hi
+        while lo | hi:
+            bit = (lo | hi) & -(lo | hi)
+            c = _entry(lo, hi, bit)
+            pivot_row = echelon.get(bit)
+            if pivot_row is None:
+                echelon[bit] = _multiples(*_multiples(lo, hi)[inv(c) - 1])
+                break
+            mlo, mhi = pivot_row[c - 1]
+            lo ^= mlo
+            hi ^= mhi
+    bits = sorted(echelon)
+    pivot_mask = sum(bits)  # distinct powers of two: the sum is their union
+    # Rows with higher pivots are fully reduced first, so clearing one pivot
+    # column from a row leaves its entries at the other pivot columns alone.
+    for bit in reversed(bits):
+        lo, hi = echelon[bit][0]
+        rest = ((lo | hi) & pivot_mask) ^ bit
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            mlo, mhi = echelon[b][_entry(lo, hi, b) - 1]
+            lo ^= mlo
+            hi ^= mhi
+        echelon[bit] = _multiples(lo, hi)
+    return (tuple(b.bit_length() - 1 for b in bits),
+            tuple(GF4Vector(n, *echelon[b][0]) for b in bits))
 
 
 class LinearCode:
@@ -147,19 +188,25 @@ class LinearCode:
         order.
         """
         if self._dual is None:
-            pivots, rrows = rref([r.conjugate() for r in self.rows], self.n)
+            n = self.n
+            pivots, rrows = rref([r.conjugate() for r in self.rows], n)
+            reduced = [(1 << p, rr.lo, rr.hi) for p, rr in zip(pivots, rrows)]
             pivot_set = set(pivots)
             basis = []
-            for f in range(self.n):
+            for f in range(n):
                 if f in pivot_set:
                     continue
-                coords = [0] * self.n
-                coords[f] = 1
-                # Characteristic 2: the pivot entries copy over without sign.
-                for p, rr in zip(pivots, rrows):
-                    coords[p] = rr[f]
-                basis.append(GF4Vector.from_coords(coords))
-            self._dual = LinearCode(basis, n=self.n)
+                bit = 1 << f
+                lo, hi = bit, 0
+                # Characteristic 2: each reduced row's entry at f copies
+                # over to its pivot position without sign.
+                for pbit, rlo, rhi in reduced:
+                    if rlo & bit:
+                        lo |= pbit
+                    if rhi & bit:
+                        hi |= pbit
+                basis.append(GF4Vector(n, lo, hi))
+            self._dual = LinearCode(basis, n=n)
         return self._dual
 
     def is_hermitian_self_orthogonal(self) -> bool:
@@ -242,7 +289,8 @@ def parse_matrix(text: str) -> LinearCode:
 
     First line: ``n k``.  Then k rows, each of n whitespace-separated
     digits from {0,1,2,3} with 2 = omega and 3 = omega**2.  Lines starting
-    with ``#`` and blank lines are skipped.
+    with ``#`` and blank lines are skipped.  A header ``n 0`` with no rows
+    is the zero code of length n.
     """
     header: tuple[int, int] | None = None
     rows: list[GF4Vector] = []
@@ -258,8 +306,8 @@ def parse_matrix(text: str) -> LinearCode:
                 n, k = int(tokens[0]), int(tokens[1])
             except ValueError:
                 raise MatrixFormatError(f"line {lineno}: expected header 'n k'") from None
-            if not 1 <= k <= n:
-                raise MatrixFormatError(f"line {lineno}: header requires 1 <= k <= n")
+            if not 0 <= k <= n:
+                raise MatrixFormatError(f"line {lineno}: header requires 0 <= k <= n")
             header = (n, k)
             continue
         n, k = header
@@ -279,11 +327,13 @@ def parse_matrix(text: str) -> LinearCode:
     if len(rows) != header[1]:
         raise MatrixFormatError(
             f"expected {header[1]} rows, found only {len(rows)}")
+    if not rows:
+        return LinearCode((), n=header[0])
     return LinearCode.from_rows(rows)
 
 
 def emit_matrix(code: LinearCode) -> str:
-    """Matrix text for a code; parse_matrix(emit_matrix(c)) returns c for k >= 1."""
+    """Matrix text for a code; parse_matrix(emit_matrix(c)) returns c."""
     lines = [f"{code.n} {code.k}"]
     for row in code.rows:
         lines.append(" ".join(str(row[i]) for i in range(code.n)))

@@ -82,23 +82,31 @@ def ospan(rows, n):
     return words
 
 
-def orank(rows):
+def orref(rows, n):
+    """Reduced row echelon form with leftmost pivots, one coordinate at a time.
+
+    Returns (pivot columns, reduced nonzero rows as tuples).
+    """
     work = [list(r) for r in rows]
-    n = len(rows[0]) if rows else 0
-    rank = 0
+    pivots = []
     for col in range(n):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        c = oinv(work[rank][col])
-        work[rank] = [omul(c, x) for x in work[rank]]
+        work[r], work[piv] = work[piv], work[r]
+        c = oinv(work[r][col])
+        work[r] = [omul(c, x) for x in work[r]]
         for i in range(len(work)):
-            if i != rank and work[i][col]:
+            if i != r and work[i][col]:
                 f = work[i][col]
-                work[i] = [oadd(x, omul(f, y)) for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+                work[i] = [oadd(x, omul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return tuple(pivots), tuple(tuple(row) for row in work[:len(pivots)])
+
+
+def orank(rows):
+    return len(orref(rows, len(rows[0]) if rows else 0)[0])
 
 
 def owenum(rows, n):

@@ -3,7 +3,9 @@
 import subprocess
 import sys
 
-from gf4codes import catalog, emit_matrix
+import pytest
+
+from gf4codes import catalog, emit_matrix, parse_matrix
 
 C5_2_TEXT = "5 2\n1 0 1 2 2\n0 1 2 2 1\n"
 FULL_SPACE_TEXT = "2 2\n1 0\n0 1\n"
@@ -117,6 +119,16 @@ def test_circulant_matches_catalog():
     assert compact.returncode == spaced.returncode == 0
     assert compact.stdout == expected
     assert spaced.stdout == expected
+
+
+def test_circulant_zero_code_round_trips():
+    proc = run("circulant", "--first-row", "0000", "--k", "1")
+    assert proc.returncode == 0
+    assert proc.stdout == "4 0\n"
+    assert parse_matrix(proc.stdout).k == 0
+    check = run("check", "-", stdin=proc.stdout)
+    assert check.returncode == 0
+    assert check.stdout.startswith("n: 4\nk: 0\n")
 
 
 def test_circulant_rejects_bad_k():
@@ -269,3 +281,47 @@ def test_outputs_are_deterministic():
     second = run("wenum", "catalog:c14_7")
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+# Malformed inputs for every verb: (arguments, stdin, exit code).  A file
+# argument "{binary}" is replaced by a file that is not UTF-8 text.
+MALFORMED = [
+    (("check", "-"), "5\n", 3),
+    (("check", "-"), "2 1\n1 4\n", 3),
+    (("check", "{binary}"), None, 2),
+    (("check", "/no/such/file"), None, 2),
+    (("wenum", "catalog:c5_2", "--partitions", "0"), None, 2),
+    (("wenum", "catalog:c5_2", "--partitions", "-3"), None, 2),
+    (("wenum", "catalog:no_such_entry"), None, 3),
+    (("wenum", "catalog:c13_6_a", "--max-dim", "2"), None, 4),
+    (("macwilliams", "-", "--n", "3", "--k", "-1"), "0 1\n", 2),
+    (("macwilliams", "-", "--n", "-1", "--k", "1"), "0 1\n", 2),
+    (("macwilliams", "-", "--n", "3", "--k", "1"), "x y\n", 3),
+    (("macwilliams", "-", "--n", "3", "--k", "5"), "0 1\n", 5),
+    (("macwilliams", "{binary}", "--n", "3", "--k", "1"), None, 2),
+    (("dual-distance", "-"), "3 1\n1 2\n", 3),
+    (("dual-distance", "-", "--max-dim", "0"), "5 2\n1 0 1 2 2\n0 1 2 2 1\n", 4),
+    (("shorten", "catalog:c5_2", "--at", "-1"), None, 3),
+    (("shorten", "-", "--at", "0"), "2 3\n", 3),
+    (("circulant", "--first-row", "12x", "--k", "1"), None, 3),
+    (("circulant", "--first-row", "123", "--k", "0"), None, 3),
+    (("double", "--a", "catalog:c5_2", "--b", "catalog:hexacode"), None, 3),
+    (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--x1", "search:x"), None, 3),
+    (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--x1", "{binary}"), None, 2),
+    (("quantum", "-"), "2 2\n1 0\n0 1\n", 3),
+    (("quantum", "catalog:c5_2", "--bounds", "-"), "a,b\n", 3),
+    (("catalog", "no_such_entry"), None, 3),
+]
+
+
+@pytest.mark.parametrize("args,stdin,code", MALFORMED,
+                         ids=[" ".join(a) for a, _, _ in MALFORMED])
+def test_malformed_input_exits_with_documented_code(tmp_path, args, stdin, code):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00")
+    proc = run(*(a.replace("{binary}", str(binary)) for a in args), stdin=stdin)
+    assert proc.returncode == code
+    assert proc.returncode in (2, 3, 4, 5)
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from itertools import product
 
 import pytest
 
@@ -58,7 +59,9 @@ def test_parse_header_bounds():
     with pytest.raises(MatrixFormatError):
         parse_matrix("2 3\n1 0\n0 1\n1 1\n")
     with pytest.raises(MatrixFormatError):
-        parse_matrix("2 0\n")
+        parse_matrix("2 -1\n")
+    with pytest.raises(MatrixFormatError, match="more than 0 rows"):
+        parse_matrix("2 0\n1 1\n")
     with pytest.raises(MatrixFormatError):
         parse_matrix("")
     with pytest.raises(MatrixFormatError, match="found only"):
@@ -73,6 +76,14 @@ def test_emit_parse_roundtrip_random():
         code = oracle.to_code(oracle.rand_code_rows(rng, n, k))
         again = parse_matrix(emit_matrix(code))
         assert again.rows == code.rows and again.n == code.n
+
+
+def test_zero_code_round_trips():
+    for n in (0, 1, 4, 70):
+        text = emit_matrix(LinearCode((), n=n))
+        assert text == f"{n} 0\n"
+        again = parse_matrix(text)
+        assert (again.n, again.k, again.rows) == (n, 0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +150,57 @@ def test_rref_is_canonical():
             [r + rows[0].scale(rng.randrange(4)) for r in rows[1:]]
         rng.shuffle(scrambled)
         assert rref(scrambled, n) == (pivots, reduced)
+
+
+def rref_coords(rows, n):
+    """rref on tuple rows, with the reduced rows read back as tuples."""
+    pivots, reduced = rref([GF4Vector.from_coords(r) for r in rows], n)
+    assert all(row.n == n for row in reduced)
+    return pivots, tuple(row.coords() for row in reduced)
+
+
+def test_rref_matches_oracle_on_every_two_row_matrix():
+    for n in range(4):
+        vectors = list(product(range(4), repeat=n))
+        for a in vectors:
+            for b in vectors:
+                assert rref_coords([a, b], n) == oracle.orref([a, b], n)
+
+
+# 31 and 65 columns need more than one 30-bit CPython digit and more than
+# one 64-bit machine word per bitplane; 402 is the longest doubled code the
+# benchmark sweep builds.
+WIDE_LENGTHS = (31, 65, 130, 402)
+
+
+@pytest.mark.parametrize("n", WIDE_LENGTHS)
+def test_rref_matches_oracle_on_wide_rows(n):
+    rng = random.Random(n)
+    for _ in range(6):
+        rows = [oracle.rand_vec(rng, n) for _ in range(rng.randrange(1, 9))]
+        # a dependent row, a sparse row and a zero row
+        rows.append(oracle.vadd(rows[0], oracle.vscale(rng.randrange(1, 4), rows[-1])))
+        rows.append(tuple(x if rng.random() < 0.05 else 0 for x in oracle.rand_vec(rng, n)))
+        rows.append((0,) * n)
+        rng.shuffle(rows)
+        assert rref_coords(rows, n) == oracle.orref(rows, n)
+
+
+@pytest.mark.parametrize("n", WIDE_LENGTHS)
+def test_dual_on_wide_rows(n):
+    rng = random.Random(1000 + n)
+    for k in (1, 3, rng.randrange(4, 9)):
+        code = oracle.to_code(oracle.rand_code_rows(rng, n, k))
+        dual = code.dual()
+        assert (dual.n, dual.k) == (n, n - k)
+        for g in code.rows:
+            for h in dual.rows:
+                assert hermitian_inner(g, h) == 0
+        assert dual.dual().same_row_space(code)
+        if n <= 65:
+            # the tall dual basis, n - k rows, against the oracle too
+            rows = [h.coords() for h in dual.rows]
+            assert rref_coords(rows, n) == oracle.orref(rows, n)
 
 
 # ---------------------------------------------------------------------------
