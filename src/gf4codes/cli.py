@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import catalog
 from .codes import LinearCode, circulant, emit_matrix, parse_matrix
@@ -187,13 +188,14 @@ def _cmd_double(args: argparse.Namespace) -> int:
 def _cmd_quantum(args: argparse.Namespace) -> int:
     code = _load_code(args.input)
     qp = quantum_params(code, max_dim=args.max_dim)
+    # A malformed bounds table fails before any line is written.
+    table = None if args.bounds is None else parse_bounds_table(_read_text(args.bounds))
     print(f"n: {qp.n}")
     print(f"k: {qp.k}")
     print(f"d: {qp.d}")
     print(f"pure: {_bool(qp.pure)}")
     print(f"degenerate: {_bool(qp.degenerate)}")
-    if args.bounds is not None:
-        table = parse_bounds_table(_read_text(args.bounds))
+    if table is not None:
         entry = table.get((qp.n, qp.k))
         if entry is None:
             print("table_entry: none")
@@ -313,20 +315,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # One plain line per warning, without the library's source location.
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BudgetExceededError as exc:
-        return _fail(exc, EXIT_BUDGET)
-    except ConsistencyError as exc:
-        return _fail(exc, EXIT_INTERNAL)
-    except (FormatError, PreconditionError, CatalogKeyError) as exc:
-        return _fail(exc, EXIT_PRECONDITION)
-    except GF4CodesError as exc:
-        return _fail(exc, EXIT_PRECONDITION)
-    except (UsageError, OSError) as exc:
-        return _fail(exc, EXIT_USAGE)
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            if getattr(args, "max_dim", 0) < 0:
+                raise UsageError(f"--max-dim must be nonnegative, got {args.max_dim}")
+            return args.func(args)
+        except BudgetExceededError as exc:
+            return _fail(exc, EXIT_BUDGET)
+        except ConsistencyError as exc:
+            return _fail(exc, EXIT_INTERNAL)
+        except (FormatError, PreconditionError, CatalogKeyError) as exc:
+            return _fail(exc, EXIT_PRECONDITION)
+        except GF4CodesError as exc:
+            return _fail(exc, EXIT_PRECONDITION)
+        except (UsageError, OSError) as exc:
+            return _fail(exc, EXIT_USAGE)
 
 
 def _fail(exc: Exception, code: int) -> int:

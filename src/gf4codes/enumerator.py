@@ -1,17 +1,24 @@
 """Exact weight enumerators, the MacWilliams transform, and distances.
 
-Enumeration walks the 4**k codewords of an [n, k] code in binary Gray
-order over 2k GF(2)-generators (each generator row and its omega multiple),
-so each step is two XORs and a popcount on the bitplanes.  The message
-range may be split into contiguous partitions whose histograms are summed;
-the result is bit-identical for any partition count.
+Scalar multiples share a weight (wt(cx) = wt(x) for c in GF(4)*), so
+enumeration walks only the (4**k - 1)/3 projective codewords: those whose
+highest-index nonzero coefficient is 1.  Block r starts at row r and walks
+the 4**r combinations of rows 0..r-1 in binary Gray order over their 2r
+GF(2)-generators (each row and its omega multiple), so each step is two
+XORs and a popcount on the bitplanes.  The counts are then tripled and the
+zero word added.  The projective index range may be split into contiguous
+partitions whose histograms are summed; the result is bit-identical for any
+partition count.
+
+The MacWilliams transform reads whole Krawtchouk columns, each built by the
+exact three-term recurrence and cached per (n, i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import BudgetExceededError, ConsistencyError, FormatError
@@ -65,7 +72,7 @@ def _binary_generators(code: "LinearCode") -> list[tuple[int, int]]:
 
 def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
                       partitions: int = 1) -> WeightEnumerator:
-    """Exact weight enumerator by enumerating all 4**k codewords."""
+    """Exact weight enumerator from the (4**k - 1)/3 projective codewords."""
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
     _check_budget(code.k, max_dim)
@@ -75,25 +82,33 @@ def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
         counts[0] = 1
         return WeightEnumerator(tuple(counts))
     bg = _binary_generators(code)
-    total = 1 << (2 * k)
+    total = ((1 << (2 * k)) - 1) // 3
     bounds = [total * p // partitions for p in range(partitions + 1)]
     for a, b in zip(bounds, bounds[1:]):
-        if a == b:
-            continue
-        # Start this partition at the codeword for Gray code of index a.
-        g = a ^ (a >> 1)
-        lo = hi = 0
-        for t in range(2 * k):
-            if (g >> t) & 1:
-                glo, ghi = bg[t]
+        # Block r holds projective indices first .. first + 4**r - 1, where
+        # first = (4**r - 1)/3; walk this partition's share of each block.
+        for r in range(k):
+            first = ((1 << (2 * r)) - 1) // 3
+            lo_j = max(a - first, 0)
+            hi_j = min(b - first, 1 << (2 * r))
+            if lo_j >= hi_j:
+                continue
+            # Start at row r plus the combination with Gray code lo_j.
+            lo, hi = bg[2 * r]
+            g = lo_j ^ (lo_j >> 1)
+            for t in range(2 * r):
+                if (g >> t) & 1:
+                    glo, ghi = bg[t]
+                    lo ^= glo
+                    hi ^= ghi
+            counts[(lo | hi).bit_count()] += 1
+            for j in range(lo_j + 1, hi_j):
+                glo, ghi = bg[(j & -j).bit_length() - 1]
                 lo ^= glo
                 hi ^= ghi
-        counts[(lo | hi).bit_count()] += 1
-        for j in range(a + 1, b):
-            glo, ghi = bg[(j & -j).bit_length() - 1]
-            lo ^= glo
-            hi ^= ghi
-            counts[(lo | hi).bit_count()] += 1
+                counts[(lo | hi).bit_count()] += 1
+    counts = [3 * c for c in counts]
+    counts[0] = 1
     return WeightEnumerator(tuple(counts))
 
 
@@ -114,12 +129,15 @@ def iter_codeword_weights(code: "LinearCode", *,
 
 
 @lru_cache(maxsize=None)
-def _krawtchouk(n: int, j: int, i: int) -> int:
-    # Coefficient of y**j in (x + 3y)**(n-i) * (x - y)**i at x = 1.
-    return sum(
-        comb(n - i, j - s) * 3 ** (j - s) * comb(i, s) * (-1) ** s
-        for s in range(max(0, j - (n - i)), min(i, j) + 1)
-    )
+def _krawtchouk(n: int, i: int) -> tuple[int, ...]:
+    # Column (K_0(i), ..., K_n(i)): K_j(i) is the coefficient of y**j in
+    # (1 + 3y)**(n-i) * (1 - y)**i, built by the exact recurrence
+    # (j+1) K_{j+1} = (3(n-j) + j - 4i) K_j - 3(n-j+1) K_{j-1}.
+    col = [1, 3 * n - 4 * i][:n + 1]
+    for j in range(1, n):
+        col.append(((3 * (n - j) + j - 4 * i) * col[j]
+                    - 3 * (n - j + 1) * col[j - 1]) // (j + 1))
+    return tuple(col)
 
 
 def macwilliams(w: WeightEnumerator, k: int) -> WeightEnumerator:
@@ -128,21 +146,26 @@ def macwilliams(w: WeightEnumerator, k: int) -> WeightEnumerator:
     Evaluates A_j-dual = 4**(-k) * sum_i A_i * K_j(i) over exact integers.
     The scaling is 4**(-k) because a linear [n, k] code over GF(4) is an
     additive (n, 2**(2k)) code; the 2**(-k) form seen for additive (n, 2**k)
-    codes reconciles as 2**(-2k).  Every division must be exact and every
-    output coefficient nonnegative, else the input enumerator or dimension
-    is wrong.
+    codes reconciles as 2**(-2k).  The input must total 4**k.  Each column
+    (K_0(i), ..., K_n(i)) with A_i nonzero comes from the three-term
+    Krawtchouk recurrence and is cached per (n, i).  Every division must be
+    exact and every output coefficient nonnegative, else the input
+    enumerator or dimension is wrong.
     """
     if k < 0:
         raise ValueError("dimension must be nonnegative")
     n = w.n
     denom = 1 << (2 * k)
+    total = w.total()
+    if total != denom:
+        raise ConsistencyError(
+            f"input enumerator totals {total}, not 4^{k} = {denom}; "
+            "input enumerator and dimension are inconsistent")
+    a = [ai for ai in w.coefficients if ai]
+    columns = [_krawtchouk(n, i) for i, ai in enumerate(w.coefficients) if ai]
     out = []
-    for j in range(n + 1):
-        acc = 0
-        for i, ai in enumerate(w.coefficients):
-            if ai:
-                acc += ai * _krawtchouk(n, j, i)
-        q, r = divmod(acc, denom)
+    for j, col_j in enumerate(zip(*columns)):
+        q, r = divmod(sum(map(mul, a, col_j)), denom)
         if r:
             raise ConsistencyError(
                 f"MacWilliams coefficient A{j} is not divisible by 4^{k}; "

@@ -117,6 +117,12 @@ def owenum(rows, n):
     return counts
 
 
+def okrawtchouk(n, j, i):
+    """K_j(i) for GF(4): the coefficient of y**j in (1 + 3y)**(n-i) * (1 - y)**i."""
+    return sum(comb(n - i, j - s) * 3 ** (j - s) * comb(i, s) * (-1) ** s
+               for s in range(max(0, j - (n - i)), min(i, j) + 1))
+
+
 def omacwilliams(coeffs, k):
     """Dual enumerator via direct polynomial convolution of the substitution."""
     n = len(coeffs) - 1

@@ -125,6 +125,7 @@ def test_circulant_zero_code_round_trips():
     proc = run("circulant", "--first-row", "0000", "--k", "1")
     assert proc.returncode == 0
     assert proc.stdout == "4 0\n"
+    assert proc.stderr == "warning: dropped 1 dependent generator row(s) at indices [0]\n"
     assert parse_matrix(proc.stdout).k == 0
     check = run("check", "-", stdin=proc.stdout)
     assert check.returncode == 0
@@ -214,6 +215,11 @@ def test_quantum_bounds_annotation(tmp_path):
     assert "table_d_lower: 4\n" in proc.stdout
     assert "table_d_upper: 4\n" in proc.stdout
     assert "meets_table_upper: true\n" in proc.stdout
+    malformed = tmp_path / "bad.csv"
+    malformed.write_text("a,b\n")
+    proc = run("quantum", str(doubled), "--bounds", str(malformed))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
     missing = tmp_path / "other.csv"
     missing.write_text("99,1,2,3\n")
     proc = run("quantum", str(doubled), "--bounds", str(missing))
@@ -310,6 +316,11 @@ MALFORMED = [
     (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--x1", "{binary}"), None, 2),
     (("quantum", "-"), "2 2\n1 0\n0 1\n", 3),
     (("quantum", "catalog:c5_2", "--bounds", "-"), "a,b\n", 3),
+    (("check", "catalog:c5_2", "--max-dim", "-1"), None, 2),
+    (("wenum", "catalog:c5_2", "--max-dim", "-1"), None, 2),
+    (("dual-distance", "catalog:c5_2", "--max-dim", "-1"), None, 2),
+    (("quantum", "catalog:c5_2", "--max-dim", "-1"), None, 2),
+    (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--max-dim", "-1"), None, 2),
     (("catalog", "no_such_entry"), None, 3),
 ]
 

@@ -9,6 +9,7 @@ from gf4codes import (BudgetExceededError, ConsistencyError, FormatError,
                       dual_distance, format_enumerator, iter_codeword_weights,
                       macwilliams, min_distance, parse_enumerator,
                       weight_enumerator)
+from gf4codes import enumerator
 
 import oracle
 
@@ -75,13 +76,26 @@ def test_matches_naive_enumeration():
 
 
 def test_partition_counts_are_equivalent():
+    # A [65,4] code has (4^4 - 1)/3 = 85 projective codewords, in blocks
+    # of 1, 4, 16 and 64; 85 and 86 partitions straddle that count.
     rng = random.Random(41)
     codes = [oracle.to_code(oracle.rand_code_rows(rng, 9, 3)),
+             oracle.to_code(oracle.rand_code_rows(rng, 65, 4)),
              catalog.get("c13_6_a").code]
     for code in codes:
         base = weight_enumerator(code, partitions=1)
-        for parts in (2, 3, 5, 8, 64, 1000):
+        for parts in (2, 3, 5, 7, 8, 64, 85, 86, 1000):
             assert weight_enumerator(code, partitions=parts) == base
+
+
+def test_matches_naive_enumeration_past_a_machine_word():
+    # bitplanes wider than 64 bits
+    rng = random.Random(46)
+    for n in (65, 130):
+        for k in (1, 2, 3, 4):
+            rows = oracle.rand_code_rows(rng, n, k)
+            got = weight_enumerator(oracle.to_code(rows))
+            assert list(got.coefficients) == oracle.owenum(rows, n), (n, k)
 
 
 def test_partition_validation():
@@ -116,6 +130,27 @@ def test_iter_codeword_weights_agrees():
 # ---------------------------------------------------------------------------
 # macwilliams
 # ---------------------------------------------------------------------------
+
+def test_krawtchouk_columns_match_the_closed_form():
+    for n in range(41):
+        for i in range(n + 1):
+            assert enumerator._krawtchouk(n, i) == tuple(
+                oracle.okrawtchouk(n, j, i) for j in range(n + 1)), (n, i)
+
+
+def test_matches_naive_macwilliams_on_self_orthogonal_codes():
+    # any rows of a self-dual code span a self-orthogonal code
+    rng = random.Random(48)
+    for length in (2, 6, 8, 14, 20, 66, 130):
+        for _ in range(3):
+            rows = oracle.rand_self_dual_rows(rng, length)
+            k = rng.randrange(1, min(len(rows), 4) + 1)
+            rows = rng.sample(rows, k)
+            w = WeightEnumerator(tuple(oracle.owenum(rows, length)))
+            got = macwilliams(w, k)
+            assert list(got.coefficients) == oracle.omacwilliams(list(w.coefficients), k)
+            assert got.total() == 4 ** (length - k)
+
 
 def test_frozen_dual_of_c5_2():
     w = weight_enumerator(catalog.get("c5_2").code)
@@ -153,10 +188,21 @@ def test_involution():
 
 
 def test_inexact_division_is_an_error():
+    # totals 4^2, but B_1 = 15 - 14 - 5 = -4 is not divisible by 16
+    tampered = WeightEnumerator((1, 0, 0, 0, 14, 1))
+    with pytest.raises(ConsistencyError, match="A1 is not divisible"):
+        macwilliams(tampered, 2)
+
+
+def test_total_must_be_four_to_the_k():
     w = weight_enumerator(catalog.get("c5_2").code)
     tampered = WeightEnumerator(w.coefficients[:4] + (14, 0))
-    with pytest.raises(ConsistencyError, match="divisible"):
+    with pytest.raises(ConsistencyError, match=r"totals 15, not 4\^2 = 16"):
         macwilliams(tampered, 2)
+    with pytest.raises(ConsistencyError, match=r"totals 16, not 4\^3 = 64"):
+        macwilliams(w, 3)
+    with pytest.raises(ConsistencyError, match=r"totals 0, not 4\^0 = 1"):
+        macwilliams(WeightEnumerator((0, 0, 0)), 0)
 
 
 def test_negative_coefficient_is_an_error():
