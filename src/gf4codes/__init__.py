@@ -12,18 +12,17 @@ from . import catalog
 from .codes import LinearCode, circulant, emit_matrix, parse_matrix, rref
 from .doubling import (DoublingResult, OddDualVector, auxiliary_code,
                        double_even, double_odd, double_pair,
-                       dual_distance_bounds, find_odd_dual_vector)
+                       find_odd_dual_vector)
 from .enumerator import (DEFAULT_MAX_DIM, WeightEnumerator, dual_distance,
-                         format_enumerator, iter_codeword_weights, macwilliams,
-                         min_distance, parse_enumerator, weight_enumerator)
+                         format_enumerator, macwilliams, min_distance,
+                         parse_enumerator, weight_enumerator)
 from .errors import (BudgetExceededError, CatalogKeyError, ConsistencyError,
                      FormatError, GF4CodesError, MatrixFormatError,
                      PreconditionError)
 from .gf4 import (CONJ, ELEMENTS, MUL, OMEGA, OMEGA_SQ, GF4Vector, add, append,
                   concat, conj, coordinate_sum, cyclic_shift, delete_coordinate,
                   hermitian_inner, inv, mul, trace, trace_inner, vector_sum)
-from .quantum import (PurityReport, QuantumParams, parse_bounds_table,
-                      purity_report, quantum_params)
+from .quantum import QuantumParams, parse_bounds_table, quantum_params
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,6 @@ __all__ = [
     "OMEGA",
     "OMEGA_SQ",
     "PreconditionError",
-    "PurityReport",
     "QuantumParams",
     "WeightEnumerator",
     "add",
@@ -62,20 +60,17 @@ __all__ = [
     "double_odd",
     "double_pair",
     "dual_distance",
-    "dual_distance_bounds",
     "emit_matrix",
     "find_odd_dual_vector",
     "format_enumerator",
     "hermitian_inner",
     "inv",
-    "iter_codeword_weights",
     "macwilliams",
     "min_distance",
     "mul",
     "parse_bounds_table",
     "parse_enumerator",
     "parse_matrix",
-    "purity_report",
     "quantum_params",
     "rref",
     "trace",

@@ -18,8 +18,7 @@ import warnings
 
 from . import catalog
 from .codes import LinearCode, circulant, emit_matrix, parse_matrix
-from .doubling import (OddDualVector, auxiliary_code, double_even, double_odd,
-                       find_odd_dual_vector)
+from .doubling import OddDualVector, double_pair, find_odd_dual_vector
 from .enumerator import (DEFAULT_MAX_DIM, dual_distance, format_enumerator,
                          macwilliams, parse_enumerator, weight_enumerator)
 from .errors import (BudgetExceededError, CatalogKeyError, ConsistencyError,
@@ -71,19 +70,15 @@ def _parse_vector_digits(text: str) -> GF4Vector:
 
 
 def _load_x(spec: str, code: LinearCode) -> OddDualVector:
-    """Resolve an --x1/--x2 argument: allones, search:<budget>, or a file."""
+    """Resolve an --x1/--x2 argument: allones, search, or a file."""
     if spec == "allones":
         ones = GF4Vector(code.n, lo=(1 << code.n) - 1)
         return OddDualVector.for_code(code, ones)
-    if spec.startswith("search:"):
-        try:
-            budget = int(spec[len("search:"):])
-        except ValueError:
-            raise FormatError(f"bad search budget in {spec!r}") from None
-        found = find_odd_dual_vector(code, budget=budget)
+    if spec == "search":
+        found = find_odd_dual_vector(code)
         if found is None:
             raise PreconditionError(
-                f"no odd-weight dual vector found within budget {budget}")
+                "no odd-weight dual vector exists: the hermitian dual is self-orthogonal")
         return found
     return OddDualVector.for_code(code, _parse_vector_digits(_read_text(spec)))
 
@@ -108,7 +103,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(f"k: {code.k}")
     print(f"hermitian_self_orthogonal: {_bool(so)}")
     print(f"trace_self_orthogonal: {_bool(code.is_trace_self_orthogonal())}")
-    print(f"even: {_bool(code.is_even(max_dim=args.max_dim))}")
+    print(f"even: {_bool(code.is_even())}")
     print(f"self_dual: {_bool(code.is_self_dual())}")
     return EXIT_OK if so else EXIT_PRECONDITION
 
@@ -148,10 +143,7 @@ def _cmd_shorten(args: argparse.Namespace) -> int:
 
 
 def _cmd_circulant(args: argparse.Namespace) -> int:
-    first = _parse_vector_digits(args.first_row)
-    if not 1 <= args.k <= first.n:
-        raise PreconditionError(f"k must be in 1..{first.n}, got {args.k}")
-    _write_matrix(circulant(first, args.k), args.emit)
+    _write_matrix(circulant(_parse_vector_digits(args.first_row), args.k), args.emit)
     return EXIT_OK
 
 
@@ -159,20 +151,16 @@ def _cmd_double(args: argparse.Namespace) -> int:
     c1 = _load_code(args.a)
     c2 = _load_code(args.b)
     x1 = _load_x(args.x1, c1)
+    x2 = _load_x(args.x2, c2)
+    res = double_pair(c1, c2, x1, x2, max_dim=args.max_dim)
     lines = [f"mode: {args.mode}",
              f"inputs: [{c1.n},{c1.k}] [{c2.n},{c2.k}]",
              f"x1_weight: {x1.weight}"]
-    c11 = auxiliary_code(c1, x1)
-    d11 = dual_distance(c11, max_dim=args.max_dim)
     if args.mode == "odd":
-        code = double_odd(c1, c2, x1)
-        bound = min(d11, dual_distance(c2, max_dim=args.max_dim))
+        code, bound = res.code_prime, res.bound_prime
     else:
-        x2 = _load_x(args.x2, c2)
         lines.append(f"x2_weight: {x2.weight}")
-        code = double_even(c1, c2, x1, x2)
-        c22 = auxiliary_code(c2, x2)
-        bound = min(d11, dual_distance(c22, max_dim=args.max_dim))
+        code, bound = res.code_double_prime, res.bound_double_prime
     lines += [f"n: {code.n}",
               f"k: {code.k}",
               "self_orthogonal: true",
@@ -248,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="report self-orthogonality and evenness")
     _add_input(p)
-    _add_max_dim(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("wenum", help="exact weight enumerator")
@@ -290,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="doubled self-orthogonal code from two inputs")
     p.add_argument("--a", required=True, metavar="INPUT", help="first code")
     p.add_argument("--b", required=True, metavar="INPUT", help="second code")
-    p.add_argument("--x1", default="search:3", metavar="X",
+    p.add_argument("--x1", default="search", metavar="X",
                    help="odd dual vector for the first code: 'allones', "
-                        "'search:<budget>', or a digits file (default search:3)")
-    p.add_argument("--x2", default="search:3", metavar="X",
-                   help="odd dual vector for the second code (default search:3)")
+                        "'search', or a digits file (default search)")
+    p.add_argument("--x2", default="search", metavar="X",
+                   help="odd dual vector for the second code (default search)")
     p.add_argument("--mode", choices=("odd", "even"), default="even",
                    help="odd: [2n+1,k+1]; even: [2n+2,k+2] (default even)")
     p.add_argument("--emit", metavar="FILE", help="write the matrix to FILE")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable, Sequence
 
-from .errors import MatrixFormatError
+from .errors import MatrixFormatError, PreconditionError
 from .gf4 import GF4Vector, delete_coordinate, hermitian_inner, inv, trace_inner, OMEGA, cyclic_shift
 
 
@@ -237,18 +237,15 @@ class LinearCode:
                     return False
         return True
 
-    def is_even(self, *, max_dim: int | None = None) -> bool:
+    def is_even(self) -> bool:
         """True iff every codeword has even weight.
 
-        Self-orthogonality settles it for linear codes; otherwise the
-        codewords are scanned with early exit on the first odd weight.
+        Over GF(4), wt(x) = <x, x> (mod 2) for the hermitian product, and
+        <x + cy, x + cy> = <x, x> + <y, y> + Tr(conj(c) <x, y>) for nonzero
+        c.  So a linear code is even exactly when it is hermitian
+        self-orthogonal.
         """
-        if self.is_hermitian_self_orthogonal():
-            return True
-        from .enumerator import DEFAULT_MAX_DIM, iter_codeword_weights
-
-        limit = DEFAULT_MAX_DIM if max_dim is None else max_dim
-        return not any(w & 1 for w in iter_codeword_weights(self, max_dim=limit))
+        return self.is_hermitian_self_orthogonal()
 
     def is_self_dual(self) -> bool:
         return 2 * self.k == self.n and self.is_hermitian_self_orthogonal()
@@ -277,7 +274,7 @@ def circulant(first_row: GF4Vector, k: int) -> LinearCode:
     are dropped with a warning, as in `from_rows`.
     """
     if not 1 <= k <= first_row.n:
-        raise ValueError(f"k must be in 1..{first_row.n}, got {k}")
+        raise PreconditionError(f"k must be in 1..{first_row.n}, got {k}")
     rows = [first_row]
     for _ in range(k - 1):
         rows.append(cyclic_shift(rows[-1]))

@@ -10,14 +10,19 @@ their hermitian duals, build:
 * the auxiliary [n+1, k+1] codes spanned by (G | 0-column) plus (x | 1),
   whose dual distances bound the dual distances of the results.
 
+`double_pair` is the one place that builds the auxiliary codes and
+evaluates both bounds.
+
 The bottom rows are self-orthogonal exactly because wt(x) is odd:
-the hermitian square of (x | 0..0 | 1) is wt(x) + 1 over GF(2).
+the hermitian square of (x | 0..0 | 1) is wt(x) + 1 over GF(2), since
+wt(v) = <v, v> (mod 2) for every v over GF(4).  The same fact lets
+`find_odd_dual_vector` build x from at most two dual basis rows; no x
+exists exactly when the dual is self-orthogonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
 from .codes import LinearCode
 from .enumerator import DEFAULT_MAX_DIM, dual_distance
@@ -113,45 +118,34 @@ def auxiliary_code(c: LinearCode, x: GF4Vector | OddDualVector) -> LinearCode:
     return _build(rows, c.n + 1, c.k + 1)
 
 
-def dual_distance_bounds(c1: LinearCode, c2: LinearCode,
-                         x1: GF4Vector | OddDualVector,
-                         x2: GF4Vector | OddDualVector,
-                         *, max_dim: int = DEFAULT_MAX_DIM) -> tuple[int, int]:
-    """Upper bounds on the dual distances of the two doubled codes.
+def find_odd_dual_vector(code: LinearCode) -> OddDualVector | None:
+    """An odd-weight vector in the hermitian dual, or None if there is none.
 
-    Returns (min(d(C11-dual), d(C2-dual)), min(d(C11-dual), d(C22-dual)))
-    where C11, C22 are the auxiliary codes for (c1, x1) and (c2, x2).
-    """
-    c11 = auxiliary_code(c1, x1)
-    c22 = auxiliary_code(c2, x2)
-    d11 = dual_distance(c11, max_dim=max_dim)
-    d2 = dual_distance(c2, max_dim=max_dim)
-    d22 = dual_distance(c22, max_dim=max_dim)
-    return (min(d11, d2), min(d11, d22))
-
-
-def find_odd_dual_vector(code: LinearCode, budget: int = 3) -> OddDualVector | None:
-    """Search the hermitian dual for an odd-weight vector.
-
-    The all-one vector is preferred when it qualifies; otherwise
-    combinations of up to `budget` dual basis rows are scanned with all
-    nonzero scalars in lexicographic order, so the witness is
-    deterministic.  Returns None if the scan finds nothing.
+    The all-one vector is preferred when it qualifies.  Otherwise, as
+    wt(v) = <v, v> (mod 2), the first odd-weight row y_i of the dual basis
+    is taken, and failing that y_i + c*y_j for the first pair i < j with
+    <y_i, y_j> != 0.  For even rows wt(y_i + c*y_j) = Tr(conj(c) <y_i, y_j>)
+    (mod 2), which is odd for two of the three nonzero c; the first of
+    1, omega, omega**2 that gives an odd weight is used.  When no pair
+    qualifies the dual is self-orthogonal, so every dual word is even and
+    None is returned: for a self-orthogonal code, exactly when it is
+    self-dual.
     """
     n = code.n
     ones = GF4Vector(n, lo=(1 << n) - 1)
     if n % 2 == 1 and all(hermitian_inner(ones, g) == 0 for g in code.rows):
         return OddDualVector(ones, n)
-    dual_rows = code.dual().rows
-    for size in range(1, min(budget, len(dual_rows)) + 1):
-        for idxs in combinations(range(len(dual_rows)), size):
-            for coeffs in product((1, 2, 3), repeat=size):
-                v = GF4Vector(n)
-                for t, c in zip(idxs, coeffs):
-                    v = v + dual_rows[t].scale(c)
-                w = v.weight()
-                if w % 2 == 1:
-                    return OddDualVector(v, w)
+    ys = code.dual().rows
+    for y in ys:
+        if y.weight() % 2 == 1:
+            return OddDualVector(y, y.weight())
+    for i, yi in enumerate(ys):
+        for yj in ys[i + 1:]:
+            if hermitian_inner(yi, yj) != 0:
+                for c in (1, 2, 3):
+                    v = yi + yj.scale(c)
+                    if v.weight() % 2 == 1:
+                        return OddDualVector(v, v.weight())
     return None
 
 
@@ -171,7 +165,12 @@ def double_pair(c1: LinearCode, c2: LinearCode,
                 x1: GF4Vector | OddDualVector,
                 x2: GF4Vector | OddDualVector,
                 *, max_dim: int = DEFAULT_MAX_DIM) -> DoublingResult:
-    """Run both constructions and compute the bounds in one pass."""
+    """Both doubled codes, the auxiliary codes C11 and C22, and the bounds.
+
+    The dual distance of the [2n+1, k+1] code is at most
+    min(d(C11-dual), d(C2-dual)), and that of the [2n+2, k+2] code at most
+    min(d(C11-dual), d(C22-dual)).
+    """
     xo1 = _as_odd_dual(c1, x1)
     xo2 = _as_odd_dual(c2, x2)
     code_prime = double_odd(c1, c2, xo1)

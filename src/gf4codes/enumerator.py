@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, ConsistencyError, FormatError
 from .gf4 import OMEGA
@@ -53,6 +53,8 @@ class WeightEnumerator:
 
 
 def _check_budget(k: int, max_dim: int) -> None:
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     if k > max_dim:
         raise BudgetExceededError(
             f"dimension {k} exceeds the enumeration budget of 4^{max_dim} "
@@ -110,22 +112,6 @@ def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
     counts = [3 * c for c in counts]
     counts[0] = 1
     return WeightEnumerator(tuple(counts))
-
-
-def iter_codeword_weights(code: "LinearCode", *,
-                          max_dim: int = DEFAULT_MAX_DIM) -> Iterator[int]:
-    """Yield the weights of all 4**k codewords in Gray order."""
-    _check_budget(code.k, max_dim)
-    yield 0
-    if code.k == 0:
-        return
-    bg = _binary_generators(code)
-    lo = hi = 0
-    for j in range(1, 1 << (2 * code.k)):
-        glo, ghi = bg[(j & -j).bit_length() - 1]
-        lo ^= glo
-        hi ^= ghi
-        yield (lo | hi).bit_count()
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,10 @@ A hermitian (equivalently trace) self-orthogonal linear [n, k] code yields
 a quantum [[n, n-2k, d]] code, where d is the smallest weight at which the
 dual holds more words than the code itself, i.e. the minimum weight over
 the dual words outside the code.  The quantum code is pure when d equals
-the dual distance.  Both enumerators come from the classical side: the
-code's by direct enumeration, the dual's by MacWilliams, so the dual is
-never enumerated.
+the dual distance.  `quantum_params` returns d, the dual distance and both
+flags in one `QuantumParams`.  Both enumerators come from the classical
+side: the code's by direct enumeration, the dual's by MacWilliams, so the
+dual is never enumerated.
 """
 
 from __future__ import annotations
@@ -20,31 +21,23 @@ from .errors import ConsistencyError, FormatError, PreconditionError
 
 @dataclass(frozen=True)
 class QuantumParams:
-    """Derived [[n, k, d]] parameters plus the purity flag.
+    """Derived [[n, k, d]] parameters, the dual distance, and purity.
 
-    `degenerate` marks the self-dual input case C = C-dual, where the set
-    difference defining d is empty; d is then reported as the minimum
-    distance of C itself.
+    `pure` is d == d_dual.  `degenerate` marks the self-dual input case
+    C = C-dual, where the set difference defining d is empty; d is then
+    reported as the minimum distance of C itself.
     """
 
     n: int
     k: int
     d: int
-    pure: bool
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class PurityReport:
-    """The derived distance, the dual distance, and their comparison."""
-
-    d: int
     d_dual: int
     pure: bool
-    degenerate: bool = False
+    degenerate: bool
 
 
-def _analyze(code: LinearCode, max_dim: int) -> PurityReport:
+def quantum_params(code: LinearCode, *, max_dim: int = DEFAULT_MAX_DIM) -> QuantumParams:
+    """Quantum [[n, n-2k, d]] parameters for a self-orthogonal [n, k] code."""
     if not code.is_hermitian_self_orthogonal():
         raise PreconditionError("code is not hermitian self-orthogonal")
     w = weight_enumerator(code, max_dim=max_dim)
@@ -62,19 +55,8 @@ def _analyze(code: LinearCode, max_dim: int) -> PurityReport:
         d = next((j for j in range(1, code.n + 1) if surplus[j] > 0), None)
         if d is None:
             raise ConsistencyError("dual equals the code but n != 2k")
-    return PurityReport(d=d, d_dual=d_dual, pure=d == d_dual, degenerate=degenerate)
-
-
-def purity_report(code: LinearCode, *, max_dim: int = DEFAULT_MAX_DIM) -> PurityReport:
-    """Distance and purity details for a self-orthogonal code."""
-    return _analyze(code, max_dim)
-
-
-def quantum_params(code: LinearCode, *, max_dim: int = DEFAULT_MAX_DIM) -> QuantumParams:
-    """Quantum [[n, n-2k, d]] parameters for a self-orthogonal [n, k] code."""
-    report = _analyze(code, max_dim)
-    return QuantumParams(n=code.n, k=code.n - 2 * code.k, d=report.d,
-                         pure=report.pure, degenerate=report.degenerate)
+    return QuantumParams(n=code.n, k=code.n - 2 * code.k, d=d, d_dual=d_dual,
+                         pure=d == d_dual, degenerate=degenerate)
 
 
 def parse_bounds_table(text: str) -> dict[tuple[int, int], tuple[int, int]]:

@@ -10,7 +10,7 @@ codes, and random self-dual codes built from block sums plus monomial
 transforms.
 """
 
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from gf4codes import GF4Vector, LinearCode
@@ -109,6 +109,25 @@ def orank(rows):
     return len(orref(rows, len(rows[0]) if rows else 0)[0])
 
 
+def orref_matrices(n):
+    """Every reduced row echelon matrix with n columns, one per subspace.
+
+    Each row is 1 at its pivot, 0 at the other pivots and before its own,
+    and free at the remaining columns after its pivot.
+    """
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [[c for c in range(p + 1, n) if c not in pivots] for p in pivots]
+            slots = [(i, c) for i, cols in enumerate(free) for c in cols]
+            for values in product(range(4), repeat=len(slots)):
+                rows = [[0] * n for _ in pivots]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = 1
+                for (i, c), x in zip(slots, values):
+                    rows[i][c] = x
+                yield [tuple(r) for r in rows]
+
+
 def owenum(rows, n):
     """Weight profile A_0..A_n by full naive enumeration."""
     counts = [0] * (n + 1)
@@ -144,6 +163,48 @@ def odual_brute(rows, n):
     assert n <= 8, "brute force scan limited to short lengths"
     return [v for v in product(range(4), repeat=n)
             if all(oherm(v, g) == 0 for g in rows)]
+
+
+def odual_basis(rows, n):
+    """A basis of the hermitian dual: one row per free column, ascending.
+
+    The row for free column f is 1 at f and, at the pivot of each row of
+    the reduced conjugated generator matrix, that row's entry at f.
+    """
+    pivots, reduced = orref([tuple(oconj(x) for x in r) for r in rows], n)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = 1
+        for p, r in zip(pivots, reduced):
+            v[p] = r[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def ofind_odd_dual(rows, n):
+    """The first odd-weight dual vector of a lexicographic search, or None.
+
+    The all-one vector comes first when n is odd and it lies in the dual.
+    Then every combination of 1, 2, ... rows of `odual_basis` is tried, the
+    rows in lexicographic order of their indices and the nonzero
+    coefficients in lexicographic order, which covers the whole dual.
+    """
+    ones = (1,) * n
+    if n % 2 == 1 and all(oherm(ones, g) == 0 for g in rows):
+        return ones
+    basis = odual_basis(rows, n)
+    for size in range(1, len(basis) + 1):
+        for idxs in combinations(range(len(basis)), size):
+            for coeffs in product((1, 2, 3), repeat=size):
+                v = (0,) * n
+                for t, c in zip(idxs, coeffs):
+                    v = vadd(v, vscale(c, basis[t]))
+                if wt(v) % 2 == 1:
+                    return v
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import sys
 import time
 
 from gf4codes import (GF4Vector, catalog, double_even, double_odd,
-                      dual_distance, dual_distance_bounds, macwilliams,
-                      quantum_params, weight_enumerator)
+                      double_pair, dual_distance, macwilliams, quantum_params,
+                      weight_enumerator)
 
 import oracle
 from test_doubling import shortened_so_pair
@@ -87,9 +87,9 @@ def test_criterion_4_doubling_property_suite():
         c1, x1 = shortened_so_pair(rng, length)
         c2, x2 = shortened_so_pair(rng, length)
         n, k = c1.n, c1.k
-        cp = double_odd(c1, c2, x1)
-        cpp = double_even(c1, c2, x1, x2)
-        bp, bpp = dual_distance_bounds(c1, c2, x1, x2)
+        res = double_pair(c1, c2, x1, x2)
+        cp, cpp = res.code_prime, res.code_double_prime
+        bp, bpp = res.bound_prime, res.bound_double_prime
         ok = ((cp.n, cp.k) == (2 * n + 1, k + 1)
               and (cpp.n, cpp.k) == (2 * n + 2, k + 2)
               and cp.is_hermitian_self_orthogonal()
@@ -141,7 +141,8 @@ def test_criterion_6_self_orthogonality_equivalences():
             counterexamples += 1
         if herm:
             so_seen += 1
-            if not code.is_even():
+            # even: no codeword of odd weight
+            if any(weight_enumerator(code).coefficients[1::2]):
                 counterexamples += 1
     assert counterexamples == 0
     assert so_seen >= 20  # the equivalence was exercised on both sides

@@ -185,14 +185,14 @@ def test_double_x_specifications_agree(tmp_path):
     xfile.write_text("1 1 1 1 1\n")
     runs = [run("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2",
                 "--x1", spec, "--x2", spec)
-            for spec in ("allones", "search:3", str(xfile))]
+            for spec in ("allones", "search", str(xfile))]
     assert all(p.returncode == 0 for p in runs)
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
 
 
 def test_double_search_failure_is_reported():
     proc = run("double", "--a", "catalog:hexacode", "--b", "catalog:hexacode",
-               "--x1", "search:3")
+               "--x1", "search")
     assert proc.returncode == 3
     assert "no odd-weight dual vector" in proc.stderr
 
@@ -312,11 +312,10 @@ MALFORMED = [
     (("circulant", "--first-row", "12x", "--k", "1"), None, 3),
     (("circulant", "--first-row", "123", "--k", "0"), None, 3),
     (("double", "--a", "catalog:c5_2", "--b", "catalog:hexacode"), None, 3),
-    (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--x1", "search:x"), None, 3),
+    (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--x1", "search:x"), None, 2),
     (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--x1", "{binary}"), None, 2),
     (("quantum", "-"), "2 2\n1 0\n0 1\n", 3),
     (("quantum", "catalog:c5_2", "--bounds", "-"), "a,b\n", 3),
-    (("check", "catalog:c5_2", "--max-dim", "-1"), None, 2),
     (("wenum", "catalog:c5_2", "--max-dim", "-1"), None, 2),
     (("dual-distance", "catalog:c5_2", "--max-dim", "-1"), None, 2),
     (("quantum", "catalog:c5_2", "--max-dim", "-1"), None, 2),

@@ -6,8 +6,8 @@ import pytest
 
 from gf4codes import (GF4Vector, LinearCode, OddDualVector, PreconditionError,
                       auxiliary_code, catalog, double_even, double_odd,
-                      double_pair, dual_distance, dual_distance_bounds,
-                      emit_matrix, find_odd_dual_vector, hermitian_inner)
+                      double_pair, dual_distance, emit_matrix,
+                      find_odd_dual_vector, hermitian_inner)
 
 import oracle
 
@@ -152,10 +152,12 @@ def test_bad_x_vectors_rejected():
 # ---------------------------------------------------------------------------
 
 def test_bounds_frozen_values():
-    assert dual_distance_bounds(c5_2(), c5_2(), allones(5), allones(5)) == (3, 4)
+    res = double_pair(c5_2(), c5_2(), allones(5), allones(5))
+    assert (res.bound_prime, res.bound_double_prime) == (3, 4)
     a = catalog.get("c13_6_a").code
     b = catalog.get("c13_6_b").code
-    assert dual_distance_bounds(a, b, allones(13), allones(13)) == (5, 6)
+    res = double_pair(a, b, allones(13), allones(13))
+    assert (res.bound_prime, res.bound_double_prime) == (5, 6)
 
 
 def test_realized_dual_distances_meet_bounds():
@@ -195,8 +197,6 @@ def test_search_prefers_allones():
     assert xo is not None and xo.vector == allones(5) and xo.weight == 5
     xo13 = find_odd_dual_vector(catalog.get("c13_6_a").code)
     assert xo13 is not None and xo13.vector == allones(13)
-    # allones needs no basis scan, so budget 0 still finds it
-    assert find_odd_dual_vector(c5_2(), budget=0) is not None
 
 
 def test_search_on_even_length_without_allones():
@@ -207,13 +207,12 @@ def test_search_on_even_length_without_allones():
     assert xo.weight % 2 == 1
     OddDualVector.for_code(code, xo.vector)  # must revalidate cleanly
     assert find_odd_dual_vector(code).vector == xo.vector  # deterministic
-    assert find_odd_dual_vector(code, budget=0) is None
 
 
 def test_search_exhausts_even_codes():
     # the hexacode is self-dual with every word of even weight, so no odd
-    # dual vector exists and a budget covering the whole dual proves it
-    assert find_odd_dual_vector(catalog.get("hexacode").code, budget=3) is None
+    # dual vector exists
+    assert find_odd_dual_vector(catalog.get("hexacode").code) is None
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,10 @@ def test_double_pair_matches_parts():
     assert res.code_double_prime == double_even(a, b, x, x)
     assert res.c11 == auxiliary_code(a, x)
     assert res.c22 == auxiliary_code(b, x)
-    assert (res.bound_prime, res.bound_double_prime) == dual_distance_bounds(a, b, x, x)
+    d11 = dual_distance(res.c11)
+    assert (res.bound_prime, res.bound_double_prime) == (5, 6)
+    assert res.bound_prime == min(d11, dual_distance(b))
+    assert res.bound_double_prime == min(d11, dual_distance(res.c22))
 
 
 def test_randomized_doubles():

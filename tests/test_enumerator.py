@@ -6,8 +6,8 @@ import pytest
 
 from gf4codes import (BudgetExceededError, ConsistencyError, FormatError,
                       GF4Vector, LinearCode, WeightEnumerator, catalog,
-                      dual_distance, format_enumerator, iter_codeword_weights,
-                      macwilliams, min_distance, parse_enumerator,
+                      dual_distance, format_enumerator, macwilliams,
+                      min_distance, parse_enumerator, quantum_params,
                       weight_enumerator)
 from gf4codes import enumerator
 
@@ -112,19 +112,13 @@ def test_budget_enforcement():
     assert weight_enumerator(identity_code(3), max_dim=3).total() == 64
 
 
-def test_iter_codeword_weights_agrees():
-    rng = random.Random(42)
-    for _ in range(20):
-        n = rng.randrange(1, 9)
-        k = rng.randrange(1, min(n, 3) + 1)
-        code = oracle.to_code(oracle.rand_code_rows(rng, n, k))
-        counts = [0] * (n + 1)
-        total = 0
-        for w in iter_codeword_weights(code):
-            counts[w] += 1
-            total += 1
-        assert total == 4 ** k
-        assert tuple(counts) == weight_enumerator(code).coefficients
+def test_negative_budget_is_rejected():
+    code = catalog.get("c5_2").code
+    for call in (weight_enumerator, dual_distance, quantum_params):
+        with pytest.raises(ValueError, match="max_dim must be nonnegative, got -1"):
+            call(code, max_dim=-1)
+    with pytest.raises(ValueError, match="max_dim must be nonnegative, got -1"):
+        weight_enumerator(LinearCode((), n=3), max_dim=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from gf4codes import (FormatError, GF4Vector, LinearCode, PreconditionError,
-                      PurityReport, QuantumParams, catalog, double_even,
-                      double_odd, double_pair, parse_bounds_table,
-                      purity_report, quantum_params)
+                      QuantumParams, catalog, double_even, double_odd,
+                      double_pair, parse_bounds_table, quantum_params)
 
 import oracle
 from test_doubling import shortened_so_pair
@@ -36,31 +35,30 @@ def doubled_family():
 # ---------------------------------------------------------------------------
 
 def test_frozen_quantum_parameters():
-    expected = [QuantumParams(11, 5, 3, True),
-                QuantumParams(12, 4, 4, True),
-                QuantumParams(15, 7, 3, True),
-                QuantumParams(16, 6, 4, True),
-                QuantumParams(27, 13, 5, True),
-                QuantumParams(28, 12, 6, True)]
+    # n, k, d, d_dual, pure, degenerate
+    expected = [QuantumParams(11, 5, 3, 3, True, False),
+                QuantumParams(12, 4, 4, 4, True, False),
+                QuantumParams(15, 7, 3, 3, True, False),
+                QuantumParams(16, 6, 4, 4, True, False),
+                QuantumParams(27, 13, 5, 5, True, False),
+                QuantumParams(28, 12, 6, 6, True, False)]
     assert [quantum_params(c) for c in doubled_family()] == expected
 
 
 def test_frozen_purity_reports():
-    expected = [PurityReport(3, 3, True), PurityReport(4, 4, True),
-                PurityReport(3, 3, True), PurityReport(4, 4, True),
-                PurityReport(5, 5, True), PurityReport(6, 6, True)]
-    assert [purity_report(c) for c in doubled_family()] == expected
+    # (d, d_dual, pure) of the doubled family
+    expected = [(3, 3, True), (4, 4, True), (3, 3, True),
+                (4, 4, True), (5, 5, True), (6, 6, True)]
+    got = [quantum_params(c) for c in doubled_family()]
+    assert [(q.d, q.d_dual, q.pure) for q in got] == expected
 
 
 def test_self_dual_inputs_are_degenerate():
-    cases = (("hexacode", QuantumParams(6, 0, 4, True, degenerate=True)),
-             ("c8_4", QuantumParams(8, 0, 4, True, degenerate=True)),
-             ("c14_7", QuantumParams(14, 0, 6, True, degenerate=True)))
+    cases = (("hexacode", QuantumParams(6, 0, 4, 4, True, True)),
+             ("c8_4", QuantumParams(8, 0, 4, 4, True, True)),
+             ("c14_7", QuantumParams(14, 0, 6, 6, True, True)))
     for name, expect in cases:
-        code = catalog.get(name).code
-        assert quantum_params(code) == expect, name
-        report = purity_report(code)
-        assert report.degenerate and report.d == report.d_dual
+        assert quantum_params(catalog.get(name).code) == expect, name
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +86,6 @@ def test_non_self_orthogonal_input_rejected():
     full = LinearCode([GF4Vector.from_digits("10"), GF4Vector.from_digits("01")])
     with pytest.raises(PreconditionError, match="self-orthogonal"):
         quantum_params(full)
-    with pytest.raises(PreconditionError):
-        purity_report(full)
 
 
 def test_distance_counts_dual_words_outside_the_code():
@@ -101,12 +97,13 @@ def test_distance_counts_dual_words_outside_the_code():
         words = oracle.odual_brute([r.coords() for r in code.rows], code.n)
         inside = set(oracle.ospan([r.coords() for r in code.rows], code.n))
         outside = [w for w in words if w not in inside]
-        report = purity_report(code)
+        qp = quantum_params(code)
+        assert qp.d_dual == min(oracle.wt(w) for w in words if any(w))
         if outside:
-            assert report.d == min(oracle.wt(w) for w in outside)
-            assert not report.degenerate
+            assert qp.d == min(oracle.wt(w) for w in outside)
+            assert not qp.degenerate
         else:
-            assert report.degenerate
+            assert qp.degenerate
 
 
 # ---------------------------------------------------------------------------
