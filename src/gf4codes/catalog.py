@@ -5,6 +5,7 @@ and derived companions (the self-dual [6,3,4], [8,4,4] and [14,7,6] codes
 plus their shortenings) built from standard constructions.  Every entry is
 validated at first access against its expected parameters: rank,
 self-orthogonality or self-duality, minimum distance and dual distance.
+Both distances come from one enumeration, the dual's by MacWilliams.
 
 Digits follow the package encoding: 2 = omega, 3 = omega**2.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import LinearCode, circulant
-from .enumerator import dual_distance, min_distance, weight_enumerator
+from .enumerator import macwilliams, min_distance, weight_enumerator
 from .errors import CatalogKeyError, ConsistencyError
 from .gf4 import GF4Vector, append, coordinate_sum
 
@@ -118,11 +119,12 @@ def _validate(name: str, code: LinearCode, expected: Expected) -> None:
             raise ConsistencyError(f"catalog entry {name}: expected self-dual")
     elif not code.is_hermitian_self_orthogonal():
         raise ConsistencyError(f"catalog entry {name}: expected self-orthogonal")
-    d = min_distance(weight_enumerator(code))
+    w = weight_enumerator(code)
+    d = min_distance(w)
     if d != expected.d:
         raise ConsistencyError(
             f"catalog entry {name}: minimum distance {d}, expected {expected.d}")
-    dd = dual_distance(code)
+    dd = min_distance(macwilliams(w, code.k))
     if dd != expected.dual_distance:
         raise ConsistencyError(
             f"catalog entry {name}: dual distance {dd}, expected {expected.dual_distance}")

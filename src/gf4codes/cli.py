@@ -55,18 +55,18 @@ def _load_code(spec: str) -> LinearCode:
 
 def _parse_vector_digits(text: str) -> GF4Vector:
     """Digits from {0,1,2,3}, whitespace-separated or contiguous."""
-    digits: list[int] = []
+    tokens: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        for tok in line.split():
-            if not all(ch in "0123" for ch in tok):
-                raise FormatError(f"invalid vector digits {tok!r}")
-            digits.extend(int(ch) for ch in tok)
-    if not digits:
+        if line and not line.startswith("#"):
+            tokens += line.split()
+    if not tokens:
         raise FormatError("no vector digits found")
-    return GF4Vector.from_coords(digits)
+    try:
+        return GF4Vector.from_digits("".join(tokens))
+    except ValueError:
+        bad = next(tok for tok in tokens if set(tok) - set("0123"))
+        raise FormatError(f"invalid vector digits {bad!r}") from None
 
 
 def _load_x(spec: str, code: LinearCode) -> OddDualVector:

@@ -6,7 +6,20 @@ and the matrix text format shared with the CLI.
 
 Row reduction and duals work on the (lo, hi) bitplanes of the rows, never
 coordinate by coordinate: a pivot is found from the lowest set bit of a
-row's support, and a row is eliminated with two XORs.
+row's support, and a row is eliminated with two XORs.  One insertion step,
+`_insert`, is the only elimination loop: `rref` runs it over all rows and
+back-substitutes, and `LinearCode.from_rows` runs it forward to find the
+dependent rows in one pass.
+
+Each code is reduced at most once, and often never.  A code whose rows
+each own a column, nonzero in that row alone, is independent by one OR/AND
+pass over the supports.  Every `dual()` basis owns its free columns, so
+a dual is never reduced to be built, and codes stacked from such rows,
+like the doubled codes, mostly pass too.  The reduced form is then
+computed on first use.
+
+The matrix text format converts whole rows at a time, through
+`GF4Vector.from_digits` and `GF4Vector.to_digits`.
 """
 
 from __future__ import annotations
@@ -16,6 +29,9 @@ from collections.abc import Iterable, Sequence
 
 from .errors import MatrixFormatError, PreconditionError
 from .gf4 import GF4Vector, delete_coordinate, hermitian_inner, inv, trace_inner, OMEGA, cyclic_shift
+
+
+_DIGITS = ("0", "1", "2", "3")
 
 
 def _multiples(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
@@ -29,6 +45,29 @@ def _entry(lo: int, hi: int, bit: int) -> int:
     return (1 if lo & bit else 0) | (2 if hi & bit else 0)
 
 
+def _insert(echelon: dict[int, tuple[tuple[int, int], ...]], lo: int, hi: int) -> bool:
+    """Reduce the row (lo, hi) against `echelon`; True if it adds a pivot.
+
+    `echelon` maps each pivot bit to the _multiples of its row, which is 1
+    at that bit and zero at every lower one.  The row is eliminated at its
+    lowest set bit, one dict lookup and two XORs against the multiple of
+    the pivot row that cancels the entry, until it is zero or reaches a
+    bit without a pivot row; there it is scaled to 1 and becomes that
+    bit's pivot row.
+    """
+    while lo | hi:
+        bit = (lo | hi) & -(lo | hi)
+        c = _entry(lo, hi, bit)
+        pivot_row = echelon.get(bit)
+        if pivot_row is None:
+            echelon[bit] = _multiples(*_multiples(lo, hi)[inv(c) - 1])
+            return True
+        mlo, mhi = pivot_row[c - 1]
+        lo ^= mlo
+        hi ^= mhi
+    return False
+
+
 def rref(rows: Sequence[GF4Vector], n: int) -> tuple[tuple[int, ...], tuple[GF4Vector, ...]]:
     """Reduced row echelon form with deterministic leftmost pivots.
 
@@ -37,16 +76,11 @@ def rref(rows: Sequence[GF4Vector], n: int) -> tuple[tuple[int, ...], tuple[GF4V
     length n.
 
     The reduction works on the rows' (lo, hi) bitplanes, never coordinate
-    by coordinate.  Each row is reduced in turn against the pivot rows
-    found so far, always at its lowest nonzero column, with two XORs
-    against the multiple of that pivot row which cancels the entry; a row
-    that reaches a column without a pivot row is scaled to 1 there and
-    becomes its pivot row.  Back-substitution from the last pivot then
-    clears every pivot column outside its own row.  Rows become vectors
-    again only on return.
+    by coordinate.  Each row is inserted in turn into the pivot rows found
+    so far (`_insert`), always eliminated at its lowest nonzero column.
+    Back-substitution from the last pivot then clears every pivot column
+    outside its own row.  Rows become vectors again only on return.
     """
-    # Pivot bit -> _multiples of its row, which is 1 at that bit and zero
-    # at every lower one.
     echelon: dict[int, tuple[tuple[int, int], ...]] = {}
     # The reduced form depends only on the row space, not on the order of
     # the rows.  Last first suits the bases dual() builds, one row per free
@@ -54,17 +88,7 @@ def rref(rows: Sequence[GF4Vector], n: int) -> tuple[tuple[int, ...], tuple[GF4V
     # after at most one elimination per pivot of the primal code, instead
     # of picking up the free columns of the rows before it.
     for row in reversed(rows):
-        lo, hi = row.lo, row.hi
-        while lo | hi:
-            bit = (lo | hi) & -(lo | hi)
-            c = _entry(lo, hi, bit)
-            pivot_row = echelon.get(bit)
-            if pivot_row is None:
-                echelon[bit] = _multiples(*_multiples(lo, hi)[inv(c) - 1])
-                break
-            mlo, mhi = pivot_row[c - 1]
-            lo ^= mlo
-            hi ^= mhi
+        _insert(echelon, row.lo, row.hi)
     bits = sorted(echelon)
     pivot_mask = sum(bits)  # distinct powers of two: the sum is their union
     # Rows with higher pivots are fully reduced first, so clearing one pivot
@@ -83,19 +107,42 @@ def rref(rows: Sequence[GF4Vector], n: int) -> tuple[tuple[int, ...], tuple[GF4V
             tuple(GF4Vector(n, *echelon[b][0]) for b in bits))
 
 
+def _owns_columns(rows: Sequence[GF4Vector]) -> bool:
+    """True if every row has a column where it alone is nonzero.
+
+    Such rows are independent: a combination with a nonzero coefficient on
+    row i is nonzero at the column row i owns.  One OR/AND pass over the
+    supports decides it.
+    """
+    seen = shared = 0
+    for row in rows:
+        support = row.lo | row.hi
+        shared |= seen & support
+        seen |= support
+    owned = seen & ~shared
+    return all((row.lo | row.hi) & owned for row in rows)
+
+
 class LinearCode:
     """An [n, k] linear code over GF(4), held as a generator matrix.
 
     Rows are kept exactly as given; construction helpers and the catalog
-    rely on the row layout surviving round trips.  Reduced row echelon form
-    is computed once and used internally for rank, membership and dual
-    computations.  Instances are immutable.
+    rely on the row layout surviving round trips.  Instances are immutable.
+
+    Independence of the rows is proved at construction, by the cheapest
+    means that works.  When every row owns a column, where no other row is
+    nonzero, one pass over the bitplanes proves it; every `dual()` basis
+    passes this test.  Otherwise the rows are reduced, and dependent rows
+    raise ValueError.  The reduced row echelon form, used by `contains`,
+    `same_row_space` and `dual`, is computed at most once: at construction
+    when the proof needed it, else on first use.  The dual and the
+    self-orthogonality test are likewise computed once per instance.
 
     The zero code (k = 0) is representable by passing no rows and an
     explicit length; `from_rows` itself requires at least one row.
     """
 
-    __slots__ = ("n", "rows", "dropped_rows", "_pivots", "_rref", "_dual")
+    __slots__ = ("n", "rows", "dropped_rows", "_reduced_form", "_dual", "_self_orthogonal")
 
     def __init__(self, rows: Sequence[GF4Vector], n: int | None = None,
                  dropped_rows: tuple[int, ...] = ()) -> None:
@@ -112,10 +159,13 @@ class LinearCode:
         self.n = n
         self.rows = rows
         self.dropped_rows = dropped_rows
-        self._pivots, self._rref = rref(rows, n)
-        if len(self._pivots) != len(rows):
-            raise ValueError("generator rows are linearly dependent")
+        self._reduced_form: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None = None
         self._dual: LinearCode | None = None
+        self._self_orthogonal: bool | None = None
+        if not _owns_columns(rows):
+            self._reduced_form = rref(rows, n)
+            if len(self._reduced_form[0]) != len(rows):
+                raise ValueError("generator rows are linearly dependent")
 
     @property
     def k(self) -> int:
@@ -136,6 +186,8 @@ class LinearCode:
     def from_rows(cls, rows: Iterable[GF4Vector]) -> "LinearCode":
         """Build a code from generator rows, dropping dependent ones.
 
+        One forward pass inserts each row into the pivot rows of the rows
+        kept before it; a row that adds no pivot is dependent on them.
         Dependent rows are dropped with a warning; their input indices are
         recorded in `dropped_rows` on the result.
         """
@@ -146,10 +198,11 @@ class LinearCode:
         for row in given:
             if row.n != n:
                 raise MatrixFormatError("ragged rows: lengths differ")
+        echelon: dict[int, tuple[tuple[int, int], ...]] = {}
         kept: list[GF4Vector] = []
         dropped: list[int] = []
         for idx, row in enumerate(given):
-            if len(rref(kept + [row], n)[0]) > len(kept):
+            if _insert(echelon, row.lo, row.hi):
                 kept.append(row)
             else:
                 dropped.append(idx)
@@ -160,9 +213,15 @@ class LinearCode:
             )
         return cls(kept, n=n, dropped_rows=tuple(dropped))
 
+    def _reduced(self) -> tuple[tuple[int, ...], tuple[GF4Vector, ...]]:
+        """(pivot columns, reduced rows) of the row space, computed once."""
+        if self._reduced_form is None:
+            self._reduced_form = rref(self.rows, self.n)
+        return self._reduced_form
+
     def _residual(self, v: GF4Vector) -> GF4Vector:
-        # Reduce v against the cached RREF; zero residual means membership.
-        for p, row in zip(self._pivots, self._rref):
+        # Reduce v against the reduced form; zero residual means membership.
+        for p, row in zip(*self._reduced()):
             c = v[p]
             if c:
                 v = v + row.scale(c)
@@ -176,8 +235,7 @@ class LinearCode:
 
     def same_row_space(self, other: "LinearCode") -> bool:
         """Equality as codes, decided on canonical reduced forms."""
-        return (self.n == other.n and self._pivots == other._pivots
-                and self._rref == other._rref)
+        return self.n == other.n and self._reduced() == other._reduced()
 
     def dual(self) -> "LinearCode":
         """The hermitian dual, an [n, n-k] code.
@@ -185,12 +243,16 @@ class LinearCode:
         v is orthogonal to every codeword iff the conjugated generator
         matrix sends v to zero, so the dual is the kernel of that matrix,
         extracted from its reduced form with free columns in ascending
-        order.
+        order.  Conjugation is a field automorphism fixing 0 and 1, so that
+        reduced form is the conjugate of the code's own, with the same
+        pivots.  Each basis row owns its free column, so the dual's
+        construction proves independence without a reduction.
         """
         if self._dual is None:
             n = self.n
-            pivots, rrows = rref([r.conjugate() for r in self.rows], n)
-            reduced = [(1 << p, rr.lo, rr.hi) for p, rr in zip(pivots, rrows)]
+            pivots, rrows = self._reduced()
+            # The conjugate of (lo, hi) is (lo ^ hi, hi).
+            reduced = [(1 << p, rr.lo ^ rr.hi, rr.hi) for p, rr in zip(pivots, rrows)]
             pivot_set = set(pivots)
             basis = []
             for f in range(n):
@@ -210,13 +272,15 @@ class LinearCode:
         return self._dual
 
     def is_hermitian_self_orthogonal(self) -> bool:
-        """True iff every pair of generator rows has hermitian product 0."""
-        rows = self.rows
-        for i, x in enumerate(rows):
-            for y in rows[i:]:
-                if hermitian_inner(x, y) != 0:
-                    return False
-        return True
+        """True iff every pair of generator rows has hermitian product 0.
+
+        Computed once per instance.
+        """
+        if self._self_orthogonal is None:
+            rows = self.rows
+            self._self_orthogonal = all(
+                hermitian_inner(x, y) == 0 for i, x in enumerate(rows) for y in rows[i:])
+        return self._self_orthogonal
 
     def is_trace_self_orthogonal(self) -> bool:
         """True iff the trace product vanishes on all codeword pairs.
@@ -313,12 +377,15 @@ def parse_matrix(text: str) -> LinearCode:
         if len(tokens) != n:
             raise MatrixFormatError(
                 f"line {lineno}: expected {n} entries, found {len(tokens)}")
-        coords = []
-        for tok in tokens:
-            if tok not in ("0", "1", "2", "3"):
-                raise MatrixFormatError(f"line {lineno}: invalid digit {tok!r}")
-            coords.append(int(tok))
-        rows.append(GF4Vector.from_coords(coords))
+        try:
+            row = GF4Vector.from_digits("".join(tokens))
+        except ValueError:
+            row = None
+        # A token of several digits gives a row longer than n.
+        if row is None or row.n != n:
+            bad = next(tok for tok in tokens if tok not in _DIGITS)
+            raise MatrixFormatError(f"line {lineno}: invalid digit {bad!r}")
+        rows.append(row)
     if header is None:
         raise MatrixFormatError("empty input: missing header line")
     if len(rows) != header[1]:
@@ -332,6 +399,5 @@ def parse_matrix(text: str) -> LinearCode:
 def emit_matrix(code: LinearCode) -> str:
     """Matrix text for a code; parse_matrix(emit_matrix(c)) returns c."""
     lines = [f"{code.n} {code.k}"]
-    for row in code.rows:
-        lines.append(" ".join(str(row[i]) for i in range(code.n)))
+    lines += [" ".join(row.to_digits()) for row in code.rows]
     return "\n".join(lines) + "\n"

@@ -10,8 +10,9 @@ their hermitian duals, build:
 * the auxiliary [n+1, k+1] codes spanned by (G | 0-column) plus (x | 1),
   whose dual distances bound the dual distances of the results.
 
-`double_pair` is the one place that builds the auxiliary codes and
-evaluates both bounds.
+The `DoublingResult` that `double_pair` returns is the one place that
+builds the auxiliary codes and evaluates both bounds, each only when it is
+first read.
 
 The bottom rows are self-orthogonal exactly because wt(x) is odd:
 the hermitian square of (x | 0..0 | 1) is wt(x) + 1 over GF(2), since
@@ -23,6 +24,7 @@ exists exactly when the dual is self-orthogonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .codes import LinearCode
 from .enumerator import DEFAULT_MAX_DIM, dual_distance
@@ -149,16 +151,51 @@ def find_odd_dual_vector(code: LinearCode) -> OddDualVector | None:
     return None
 
 
-@dataclass(frozen=True)
 class DoublingResult:
-    """Both doubled codes, the auxiliary codes, and the dual-distance bounds."""
+    """Both doubled codes, the auxiliary codes, and the dual-distance bounds.
 
-    code_prime: LinearCode
-    code_double_prime: LinearCode
-    c11: LinearCode
-    c22: LinearCode
-    bound_prime: int
-    bound_double_prime: int
+    `double_pair` validates the inputs and returns this; each attribute is
+    built when first read and then kept.  So a caller that reads only the
+    [2n+1, k+1] code and its bound never builds the [2n+2, k+2] code or
+    C22, and one that reads only the [2n+2, k+2] side never enumerates C2.
+
+    The dual distance of the [2n+1, k+1] code is at most
+    min(d(C11-dual), d(C2-dual)), and that of the [2n+2, k+2] code at most
+    min(d(C11-dual), d(C22-dual)).
+    """
+
+    def __init__(self, c1: LinearCode, c2: LinearCode, x1: OddDualVector,
+                 x2: OddDualVector, max_dim: int) -> None:
+        self._c1, self._c2, self._x1, self._x2 = c1, c2, x1, x2
+        self._max_dim = max_dim
+
+    @cached_property
+    def code_prime(self) -> LinearCode:
+        return double_odd(self._c1, self._c2, self._x1)
+
+    @cached_property
+    def code_double_prime(self) -> LinearCode:
+        return double_even(self._c1, self._c2, self._x1, self._x2)
+
+    @cached_property
+    def c11(self) -> LinearCode:
+        return auxiliary_code(self._c1, self._x1)
+
+    @cached_property
+    def c22(self) -> LinearCode:
+        return auxiliary_code(self._c2, self._x2)
+
+    @cached_property
+    def _d11(self) -> int:
+        return dual_distance(self.c11, max_dim=self._max_dim)
+
+    @cached_property
+    def bound_prime(self) -> int:
+        return min(self._d11, dual_distance(self._c2, max_dim=self._max_dim))
+
+    @cached_property
+    def bound_double_prime(self) -> int:
+        return min(self._d11, dual_distance(self.c22, max_dim=self._max_dim))
 
 
 def double_pair(c1: LinearCode, c2: LinearCode,
@@ -167,18 +204,10 @@ def double_pair(c1: LinearCode, c2: LinearCode,
                 *, max_dim: int = DEFAULT_MAX_DIM) -> DoublingResult:
     """Both doubled codes, the auxiliary codes C11 and C22, and the bounds.
 
-    The dual distance of the [2n+1, k+1] code is at most
-    min(d(C11-dual), d(C2-dual)), and that of the [2n+2, k+2] code at most
-    min(d(C11-dual), d(C22-dual)).
+    The inputs are validated here, so a bad pair or vector fails at once;
+    the codes and bounds of the result are built when first read.
     """
     xo1 = _as_odd_dual(c1, x1)
     xo2 = _as_odd_dual(c2, x2)
-    code_prime = double_odd(c1, c2, xo1)
-    code_double_prime = double_even(c1, c2, xo1, xo2)
-    c11 = auxiliary_code(c1, xo1)
-    c22 = auxiliary_code(c2, xo2)
-    d11 = dual_distance(c11, max_dim=max_dim)
-    d2 = dual_distance(c2, max_dim=max_dim)
-    d22 = dual_distance(c22, max_dim=max_dim)
-    return DoublingResult(code_prime, code_double_prime, c11, c22,
-                          min(d11, d2), min(d11, d22))
+    _check_pair(c1, c2)
+    return DoublingResult(c1, c2, xo1, xo2, max_dim)

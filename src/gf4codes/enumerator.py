@@ -85,8 +85,11 @@ def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
         return WeightEnumerator(tuple(counts))
     bg = _binary_generators(code)
     total = ((1 << (2 * k)) - 1) // 3
-    bounds = [total * p // partitions for p in range(partitions + 1)]
-    for a, b in zip(bounds, bounds[1:]):
+    # Past `total` partitions every nonempty one holds a single word, as it
+    # does with exactly `total`, and the rest are empty: walk only those.
+    parts = min(partitions, total)
+    for p in range(parts):
+        a, b = total * p // parts, total * (p + 1) // parts
         # Block r holds projective indices first .. first + 4**r - 1, where
         # first = (4**r - 1)/3; walk this partition's share of each block.
         for r in range(k):

@@ -57,6 +57,13 @@ def trace(a: int) -> int:
     return a >> 1
 
 
+# Byte tables for the text form: a digit's constant and omega coefficients,
+# and a written omega bit as the byte value it adds to a digit.
+_LO_BITS = bytes.maketrans(b"0123", b"0101")
+_HI_BITS = bytes.maketrans(b"0123", b"0011")
+_HI_DIGITS = bytes.maketrans(b"01", b"\x00\x02")
+
+
 def _parity(v: int) -> int:
     return v.bit_count() & 1
 
@@ -91,17 +98,40 @@ class GF4Vector:
 
     @classmethod
     def from_digits(cls, digits: str) -> "GF4Vector":
-        """Build a vector from a string of digits 0123, e.g. "10122"."""
-        try:
-            return cls.from_coords(int(ch) for ch in digits)
-        except ValueError:
-            raise ValueError(f"not a GF(4) digit string: {digits!r}") from None
+        """Build a vector from a string of digits 0123, e.g. "10122".
+
+        The whole string is converted at once: one byte translation per
+        bitplane picks out the constant or the omega coefficient of every
+        digit, and `int(..., 2)` reads the reversed result, since
+        coordinate 0 is the lowest bit.
+        """
+        # Any other character, non-ASCII ones as "?", survives the deletion.
+        raw = digits.encode("ascii", "replace")
+        if raw.translate(None, b"0123"):
+            raise ValueError(f"not a GF(4) digit string: {digits!r}")
+        if not raw:
+            return cls(0)
+        return cls(len(raw), int(raw.translate(_LO_BITS)[::-1], 2),
+                   int(raw.translate(_HI_BITS)[::-1], 2))
 
     def coords(self) -> tuple[int, ...]:
         return tuple(self[i] for i in range(self.n))
 
     def to_digits(self) -> str:
-        return "".join(str(self[i]) for i in range(self.n))
+        """The digit string of the vector, inverse to `from_digits`.
+
+        Each bitplane is written as n ASCII bits, the omega plane with its
+        ones turned into 2s.  Read as big integers the two byte strings add
+        without carries, giving the byte "0" + c at each coordinate c;
+        writing the sum little-endian puts coordinate 0 first.
+        """
+        n = self.n
+        if not n:
+            return ""
+        lo = format(self.lo, f"0{n}b").encode()
+        hi = format(self.hi, f"0{n}b").encode().translate(_HI_DIGITS)
+        total = int.from_bytes(lo, "big") + int.from_bytes(hi, "big")
+        return total.to_bytes(n, "little").decode("ascii")
 
     def __len__(self) -> int:
         return self.n

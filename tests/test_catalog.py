@@ -71,3 +71,21 @@ def test_unknown_name_reports_available_entries():
 def test_entries_are_cached():
     assert catalog.get("c5_2") is catalog.get("c5_2")
     assert catalog.get("hexacode").code is catalog.get("hexacode").code
+
+
+def test_validation_enumerates_each_entry_once(monkeypatch):
+    from gf4codes import enumerator
+    calls = []
+    real = enumerator.weight_enumerator
+
+    def counting(code, **kwargs):
+        calls.append(code.k)
+        return real(code, **kwargs)
+
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setattr(catalog, "weight_enumerator", counting)
+    monkeypatch.setattr(enumerator, "weight_enumerator", counting)
+    for name in ("c5_2", "c13_6_a", "c8_4"):
+        calls.clear()
+        entry = catalog.get(name)
+        assert calls == [entry.code.k]

@@ -67,6 +67,13 @@ def test_wenum_partitions_are_equivalent():
     assert base.stdout == split.stdout
 
 
+def test_wenum_partitions_past_the_codewords():
+    base = run("wenum", "catalog:c5_2")
+    huge = run("wenum", "catalog:c5_2", "--partitions", str(10 ** 12))
+    assert base.returncode == huge.returncode == 0
+    assert huge.stdout == base.stdout and huge.stderr == ""
+
+
 def test_macwilliams_command(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("0 1\n4 15\n")
@@ -188,6 +195,42 @@ def test_double_x_specifications_agree(tmp_path):
             for spec in ("allones", "search", str(xfile))]
     assert all(p.returncode == 0 for p in runs)
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+
+
+@pytest.mark.parametrize("mode, enumerated", [
+    # C11 and C2 for the bound, then the [2n+1, k+1] code itself.
+    ("odd", [3, 2, 3]),
+    # C11 and C22 for the bound, then the [2n+2, k+2] code itself.
+    ("even", [3, 3, 4]),
+])
+def test_double_enumerates_only_what_its_mode_prints(monkeypatch, capsys, mode, enumerated):
+    from gf4codes import cli, doubling, enumerator
+    catalog.get("c5_2")
+    calls = []
+    real = enumerator.weight_enumerator
+
+    def counting(code, **kwargs):
+        calls.append(code.k)
+        return real(code, **kwargs)
+
+    monkeypatch.setattr(enumerator, "weight_enumerator", counting)
+    built = []
+
+    def recording(name):
+        real_build = getattr(doubling, name)
+
+        def build(*args):
+            built.append(name)
+            return real_build(*args)
+        return build
+
+    for name in ("double_odd", "double_even"):
+        monkeypatch.setattr(doubling, name, recording(name))
+    assert cli.main(["double", "--a", "catalog:c5_2", "--b", "catalog:c5_2",
+                     "--x1", "allones", "--x2", "allones", "--mode", mode]) == 0
+    assert calls == enumerated
+    assert built == ["double_" + mode]
+    assert f"mode: {mode}\n" in capsys.readouterr().out
 
 
 def test_double_search_failure_is_reported():
@@ -335,3 +378,16 @@ def test_malformed_input_exits_with_documented_code(tmp_path, args, stdin, code)
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+def test_only_the_standard_library_is_imported():
+    # -S keeps site-packages' start-up hooks out of the picture.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, gf4codes.cli\n"
+         "print(sorted(m for m in sys.modules if m != '__main__'\n"
+         "             and m.partition('.')[0] not in sys.stdlib_module_names\n"
+         "             and m.partition('.')[0] != 'gf4codes'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

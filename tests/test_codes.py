@@ -422,3 +422,150 @@ def test_same_row_space():
     assert code.same_row_space(scrambled)
     assert not code.same_row_space(code.dual())
     assert not code.same_row_space(LinearCode([code.rows[0]]))
+
+
+# ---------------------------------------------------------------------------
+# each code reduced once: owned columns, the lazy reduced form, whole rows
+# ---------------------------------------------------------------------------
+
+# One word past 30 and 64 bits on either side, and the longest doubled code
+# the benchmark sweep builds.
+TEXT_LENGTHS = (0, 1, 29, 30, 31, 60, 61, 64, 65, 130, 402)
+
+
+def oracle_text(rows, n):
+    return "".join(f"{line}\n" for line in
+                   [f"{n} {len(rows)}"] + [" ".join(str(x) for x in r) for r in rows])
+
+
+@pytest.mark.parametrize("n", TEXT_LENGTHS)
+def test_emit_parse_round_trip_against_the_oracle(n):
+    rng = random.Random(3000 + n)
+    for k in sorted({0, min(n, 1), min(n, 3), min(n, 7)}):
+        rows = oracle.rand_code_rows(rng, n, k) if k else []
+        code = oracle.to_code(rows, n=n)
+        text = emit_matrix(code)
+        assert text == oracle_text(rows, n)
+        again = parse_matrix(text)
+        assert (again.n, again.k) == (n, k)
+        assert [r.coords() for r in again.rows] == rows
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 1\n1 0\n", "line 2: expected 3 entries, found 2"),
+    ("3 1\n1 0 1 1\n", "line 2: expected 3 entries, found 4"),
+    ("2 1\n01 1\n", "line 2: invalid digit '01'"),
+    ("2 1\n1 01\n", "line 2: invalid digit '01'"),
+    ("3 1\n1 4 0\n", "line 2: invalid digit '4'"),
+    ("3 1\n1 x 4\n", "line 2: invalid digit 'x'"),
+    ("3 1\n1 ٣ 0\n", "line 2: invalid digit '٣'"),
+    ("3 1\n1 -1 0\n", "line 2: invalid digit '-1'"),
+    ("3 1\n1 _ 0\n", "line 2: invalid digit '_'"),
+    ("# c\n3 2\n1 0 0\n\n1 2 3a\n", "line 5: invalid digit '3a'"),
+    ("2 2\n1 0\n0 1\n1 1\n", "line 4: more than 2 rows"),
+])
+def test_malformed_rows_keep_their_messages(text, message):
+    with pytest.raises(MatrixFormatError) as info:
+        parse_matrix(text)
+    assert str(info.value) == message
+
+
+def owns_columns(rows, n):
+    """True if each row is nonzero at a column where every other row is 0."""
+    return all(any(r[c] and not any(s[c] for j, s in enumerate(rows) if j != i)
+                   for c in range(n))
+               for i, r in enumerate(rows))
+
+
+def test_codes_with_and_without_owned_columns_agree_with_the_oracle():
+    rng = random.Random(31)
+    seen = set()
+    for trial in range(120):
+        n = rng.choice((3, 5, 8, 31, 65))
+        k = rng.randrange(1, min(n, 4) + 1)
+        if trial % 2:
+            # Nonzero everywhere: no row owns a column once k >= 2.
+            rows = [tuple(rng.randrange(1, 4) for _ in range(n)) for _ in range(k)]
+            if oracle.orank(rows) < k:
+                continue
+        else:
+            rows = oracle.rand_code_rows(rng, n, k)
+        seen.add(owns_columns(rows, n))
+        code = oracle.to_code(rows)
+        for _ in range(6):
+            v = rng.choice((oracle.rand_vec(rng, n),
+                            oracle.vadd(rows[0], oracle.vscale(2, rows[-1]))))
+            assert code.contains(GF4Vector.from_coords(v)) == (oracle.orank(rows + [v]) == k)
+        other = rows[1:] + [oracle.vadd(rows[0], oracle.vscale(3, rows[-1]))]
+        if rng.random() < 0.5:
+            other[0] = oracle.rand_vec(rng, n)
+        if oracle.orank(other) == k:
+            assert code.same_row_space(oracle.to_code(other)) == \
+                (oracle.orref(rows, n) == oracle.orref(other, n))
+    assert seen == {True, False}
+
+
+def test_dependent_and_zero_rows_still_raise():
+    g = GF4Vector.from_digits("1203")
+    h = GF4Vector.from_digits("0110")
+    for rows in ([GF4Vector(4)], [g, GF4Vector(4)], [GF4Vector(4), g],
+                 [g, h, g + h.scale(2)], [g, g.scale(3)],
+                 # Every row but the dependent last one owns a column.
+                 [GF4Vector.from_digits("1000"), GF4Vector.from_digits("0100"),
+                  GF4Vector.from_digits("1100")]):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            LinearCode(rows)
+
+
+def test_from_rows_drops_exactly_the_rows_the_oracle_rank_ignores():
+    rng = random.Random(32)
+    for _ in range(60):
+        n = rng.choice((2, 4, 7, 31, 65))
+        base = [oracle.rand_vec(rng, n) for _ in range(rng.randrange(1, 5))]
+        rows = list(base)
+        for _ in range(rng.randrange(0, 4)):
+            a, b = rng.choice(base), rng.choice(rows)
+            rows.insert(rng.randrange(len(rows) + 1),
+                        rng.choice((oracle.vadd(a, oracle.vscale(rng.randrange(4), b)),
+                                    (0,) * n)))
+        if not any(oracle.wt(r) for r in rows):
+            continue
+        kept, dropped = [], []
+        for i, r in enumerate(rows):
+            if oracle.orank(kept + [r]) > len(kept):
+                kept.append(r)
+            else:
+                dropped.append(i)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = LinearCode.from_rows([GF4Vector.from_coords(r) for r in rows])
+        assert [r.coords() for r in code.rows] == kept
+        assert code.dropped_rows == tuple(dropped)
+        messages = [str(w.message) for w in caught]
+        if dropped:
+            assert messages == [f"dropped {len(dropped)} dependent generator "
+                                f"row(s) at indices {dropped}"]
+        else:
+            assert messages == []
+
+
+def test_dual_reduces_only_the_codes_own_rows(monkeypatch):
+    from gf4codes import codes
+    calls = []
+    real = codes.rref
+
+    def counting(rows, n):
+        calls.append(len(rows))
+        return real(rows, n)
+
+    monkeypatch.setattr(codes, "rref", counting)
+    rng = random.Random(33)
+    for n, k in ((8, 3), (31, 5), (130, 4), (402, 6)):
+        calls.clear()
+        rows = oracle.rand_code_rows(rng, n, k)
+        dual = oracle.to_code(rows).dual()
+        assert calls.count(n - k) == 0 and len(calls) <= 1
+        assert [h.coords() for h in dual.rows] == oracle.odual_basis(rows, n)
+        # The dual's own reduced form is made when first needed.
+        assert dual.contains(dual.rows[-1])
+        assert calls[-1] == n - k

@@ -88,6 +88,14 @@ def test_partition_counts_are_equivalent():
             assert weight_enumerator(code, partitions=parts) == base
 
 
+def test_partitions_past_the_projective_words_cost_nothing():
+    # c5_2 has 5 projective words; every partition past the fifth is empty.
+    code = catalog.get("c5_2").code
+    base = weight_enumerator(code)
+    for parts in (5, 6, 3_000_000, 10 ** 12):
+        assert weight_enumerator(code, partitions=parts) == base
+
+
 def test_matches_naive_enumeration_past_a_machine_word():
     # bitplanes wider than 64 bits
     rng = random.Random(46)

@@ -102,6 +102,23 @@ def test_digits_roundtrip():
         GF4Vector.from_coords([4])
 
 
+@pytest.mark.parametrize("n", (0, 1, 29, 30, 31, 60, 61, 64, 65, 130, 402))
+def test_digits_match_coordinates(n):
+    rng = random.Random(2000 + n)
+    for _ in range(5):
+        v, coords = rand_vector(rng, n)
+        digits = "".join(str(c) for c in coords)
+        assert v.to_digits() == digits
+        assert GF4Vector.from_digits(digits) == v
+
+
+def test_from_digits_takes_only_ascii_digits_0123():
+    # int() reads other Unicode digits, "_" and signs; none is a GF(4) digit.
+    for bad in ("4", "01a", " 1", "1 ", "1_0", "+1", "-1", "\u0663", "\uff11", "1\n"):
+        with pytest.raises(ValueError, match="not a GF\\(4\\) digit string"):
+            GF4Vector.from_digits(bad)
+
+
 def test_getitem_bounds():
     v = GF4Vector.from_digits("012")
     with pytest.raises(IndexError):
