@@ -21,7 +21,7 @@ from .errors import (BudgetExceededError, CatalogKeyError, ConsistencyError,
                      PreconditionError)
 from .gf4 import (CONJ, ELEMENTS, MUL, OMEGA, OMEGA_SQ, GF4Vector, add, append,
                   concat, conj, coordinate_sum, cyclic_shift, delete_coordinate,
-                  hermitian_inner, inv, mul, trace, trace_inner, vector_sum)
+                  hermitian_inner, inv, mul, trace, trace_inner)
 from .quantum import QuantumParams, parse_bounds_table, quantum_params
 
 __version__ = "0.1.0"
@@ -75,6 +75,5 @@ __all__ = [
     "rref",
     "trace",
     "trace_inner",
-    "vector_sum",
     "weight_enumerator",
 ]

@@ -6,8 +6,8 @@ stdin, or ``catalog:NAME``.  Output is deterministic key: value lines or
 matrix/enumerator text, so identical invocations are byte-identical.
 
 Exit codes: 0 success, 2 usage or unreadable file, 3 precondition or
-format violation, 4 enumeration budget exceeded, 5 internal consistency
-failure.
+format violation, 4 enumeration budget or memory exceeded, 5 internal
+consistency failure.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .codes import LinearCode, circulant, emit_matrix, parse_matrix
 from .doubling import OddDualVector, double_pair, find_odd_dual_vector
 from .enumerator import (DEFAULT_MAX_DIM, dual_distance, format_enumerator,
                          macwilliams, parse_enumerator, weight_enumerator)
-from .errors import (BudgetExceededError, CatalogKeyError, ConsistencyError,
-                     FormatError, GF4CodesError, PreconditionError)
+from .errors import (BudgetExceededError, ConsistencyError, FormatError,
+                     GF4CodesError, PreconditionError)
 from .gf4 import GF4Vector
 from .quantum import parse_bounds_table, quantum_params
 
@@ -317,17 +317,18 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
         except BudgetExceededError as exc:
             return _fail(exc, EXIT_BUDGET)
+        except (MemoryError, OverflowError) as exc:
+            # A well-formed size, like a zero code's header, may not fit.
+            return _fail(f"input too large to process ({type(exc).__name__})", EXIT_BUDGET)
         except ConsistencyError as exc:
             return _fail(exc, EXIT_INTERNAL)
-        except (FormatError, PreconditionError, CatalogKeyError) as exc:
-            return _fail(exc, EXIT_PRECONDITION)
         except GF4CodesError as exc:
             return _fail(exc, EXIT_PRECONDITION)
         except (UsageError, OSError) as exc:
             return _fail(exc, EXIT_USAGE)
 
 
-def _fail(exc: Exception, code: int) -> int:
+def _fail(exc: Exception | str, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
 

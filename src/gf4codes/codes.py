@@ -4,12 +4,16 @@ Generator matrices, reduced row echelon form, hermitian duals, shortening,
 the circulant construction, the self-orthogonality and evenness predicates,
 and the matrix text format shared with the CLI.
 
+Linearity leaves one predicate to compute: a linear code is even, and
+trace self-orthogonal, exactly when it is hermitian self-orthogonal.
+
 Row reduction and duals work on the (lo, hi) bitplanes of the rows, never
-coordinate by coordinate: a pivot is found from the lowest set bit of a
-row's support, and a row is eliminated with two XORs.  One insertion step,
-`_insert`, is the only elimination loop: `rref` runs it over all rows and
-back-substitutes, and `LinearCode.from_rows` runs it forward to find the
-dependent rows in one pass.
+coordinate by coordinate, through the bitplane helpers of `gf4`: a pivot
+is found from the lowest set bit of a row's support, and a row is
+eliminated with two XORs.  One insertion step, `_insert`, is the only
+elimination loop: `rref` runs it over all rows and back-substitutes, and
+`LinearCode.from_rows` runs it forward to find the dependent rows in one
+pass.
 
 Each code is reduced at most once, and often never.  A code whose rows
 each own a column, nonzero in that row alone, is independent by one OR/AND
@@ -28,21 +32,11 @@ import warnings
 from collections.abc import Iterable, Sequence
 
 from .errors import MatrixFormatError, PreconditionError
-from .gf4 import GF4Vector, delete_coordinate, hermitian_inner, inv, trace_inner, OMEGA, cyclic_shift
+from .gf4 import (GF4Vector, _entry, _multiples, cyclic_shift, delete_coordinate,
+                  hermitian_inner, inv)
 
 
 _DIGITS = ("0", "1", "2", "3")
-
-
-def _multiples(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
-    """Bitplanes of x, omega*x and omega**2*x, given the bitplanes of x."""
-    # omega * (a*omega + b) = (a + b)*omega + a
-    return ((lo, hi), (hi, hi ^ lo), (hi ^ lo, lo))
-
-
-def _entry(lo: int, hi: int, bit: int) -> int:
-    """The coordinate of the bitplanes (lo, hi) at the single-bit mask `bit`."""
-    return (1 if lo & bit else 0) | (2 if hi & bit else 0)
 
 
 def _insert(echelon: dict[int, tuple[tuple[int, int], ...]], lo: int, hi: int) -> bool:
@@ -251,8 +245,8 @@ class LinearCode:
         if self._dual is None:
             n = self.n
             pivots, rrows = self._reduced()
-            # The conjugate of (lo, hi) is (lo ^ hi, hi).
-            reduced = [(1 << p, rr.lo ^ rr.hi, rr.hi) for p, rr in zip(pivots, rrows)]
+            reduced = [(1 << p, c.lo, c.hi)
+                       for p, c in zip(pivots, map(GF4Vector.conjugate, rrows))]
             pivot_set = set(pivots)
             basis = []
             for f in range(n):
@@ -285,21 +279,13 @@ class LinearCode:
     def is_trace_self_orthogonal(self) -> bool:
         """True iff the trace product vanishes on all codeword pairs.
 
-        The trace form is only GF(2)-bilinear, so vanishing on generator
-        rows alone does not suffice: the span of (1) has trace product 0 on
-        its single generator yet contains the pair (1, omega) with product
-        1.  Checking all pairs from the GF(2)-generating set {g, omega*g}
-        decides the whole code.
+        For a linear code this is hermitian self-orthogonality.  With x and
+        y in the code, so is c*x for every c, and its trace product with y
+        is Tr(c <x, y>).  If Tr(c a) = 0 for every c in GF(4) then a = 0
+        (take c = omega/a for a != 0), so every <x, y> vanishes; the
+        converse is immediate.
         """
-        gens = []
-        for row in self.rows:
-            gens.append(row)
-            gens.append(row.scale(OMEGA))
-        for i, x in enumerate(gens):
-            for y in gens[i:]:
-                if trace_inner(x, y) != 0:
-                    return False
-        return True
+        return self.is_hermitian_self_orthogonal()
 
     def is_even(self) -> bool:
         """True iff every codeword has even weight.

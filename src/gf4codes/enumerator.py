@@ -22,7 +22,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, ConsistencyError, FormatError
-from .gf4 import OMEGA
+from .gf4 import _multiples
 
 if TYPE_CHECKING:
     from .codes import LinearCode
@@ -61,17 +61,6 @@ def _check_budget(k: int, max_dim: int) -> None:
             f"codewords; raise max_dim to allow 4^{k}")
 
 
-def _binary_generators(code: "LinearCode") -> list[tuple[int, int]]:
-    # GF(2)-generators as (lo, hi) bitplane pairs: each row and its omega
-    # multiple.  The 2**(2k) subset sums are exactly the 4**k codewords.
-    bg: list[tuple[int, int]] = []
-    for row in code.rows:
-        bg.append((row.lo, row.hi))
-        om = row.scale(OMEGA)
-        bg.append((om.lo, om.hi))
-    return bg
-
-
 def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
                       partitions: int = 1) -> WeightEnumerator:
     """Exact weight enumerator from the (4**k - 1)/3 projective codewords."""
@@ -83,7 +72,9 @@ def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
     if k == 0:
         counts[0] = 1
         return WeightEnumerator(tuple(counts))
-    bg = _binary_generators(code)
+    # GF(2)-generators as (lo, hi) bitplane pairs: each row and its omega
+    # multiple.  The 2**(2k) subset sums are exactly the 4**k codewords.
+    bg = [m for row in code.rows for m in _multiples(row.lo, row.hi)[:2]]
     total = ((1 << (2 * k)) - 1) // 3
     # Past `total` partitions every nonempty one holds a single word, as it
     # does with exactly `total`, and the rest are empty: walk only those.

@@ -9,11 +9,15 @@ coefficient of coordinate i and bit i of ``hi`` holds the omega
 coefficient.  Vector addition is then two integer XORs and Hamming weight
 is one popcount, which is what makes exhaustive codeword enumeration fast
 enough for dimensions up to 16.
+
+This module is the one owner of the bitplane formulas (`_multiples`,
+`_entry`, conjugation, the inner products); other modules call them on raw
+(lo, hi) pairs instead of writing their own.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 OMEGA = 2
 OMEGA_SQ = 3
@@ -66,6 +70,17 @@ _HI_DIGITS = bytes.maketrans(b"01", b"\x00\x02")
 
 def _parity(v: int) -> int:
     return v.bit_count() & 1
+
+
+def _multiples(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
+    """Bitplanes of x, omega*x and omega**2*x, given the bitplanes of x."""
+    # omega * (a*omega + b) = (a + b)*omega + a
+    return ((lo, hi), (hi, hi ^ lo), (hi ^ lo, lo))
+
+
+def _entry(lo: int, hi: int, bit: int) -> int:
+    """The coordinate of the bitplanes (lo, hi) at the single-bit mask `bit`."""
+    return (1 if lo & bit else 0) | (2 if hi & bit else 0)
 
 
 class GF4Vector:
@@ -139,7 +154,7 @@ class GF4Vector:
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError("coordinate out of range")
-        return ((self.lo >> i) & 1) | (((self.hi >> i) & 1) << 1)
+        return _entry(self.lo, self.hi, 1 << i)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GF4Vector):
@@ -165,43 +180,32 @@ class GF4Vector:
 
     def scale(self, c: int) -> "GF4Vector":
         """Multiply every coordinate by the scalar c."""
-        lo, hi = self.lo, self.hi
         if c == 0:
             return GF4Vector(self.n)
-        if c == 1:
-            return self
-        # omega * (a*omega + b) = (a + b)*omega + a
-        if c == OMEGA:
-            return GF4Vector(self.n, hi, hi ^ lo)
-        if c == OMEGA_SQ:
-            return GF4Vector(self.n, hi ^ lo, lo)
-        raise ValueError(f"not a GF(4) element: {c!r}")
+        if c not in (1, OMEGA, OMEGA_SQ):
+            raise ValueError(f"not a GF(4) element: {c!r}")
+        return GF4Vector(self.n, *_multiples(self.lo, self.hi)[c - 1])
 
     def conjugate(self) -> "GF4Vector":
         """Apply x -> x**2 coordinatewise (swaps omega and omega**2)."""
         return GF4Vector(self.n, self.lo ^ self.hi, self.hi)
 
-    def pointwise(self, other: "GF4Vector") -> "GF4Vector":
-        """Coordinatewise product."""
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        a1, b1 = self.hi, self.lo
-        a2, b2 = other.hi, other.lo
-        aa = a1 & a2
-        return GF4Vector(self.n, aa ^ (b1 & b2), aa ^ (a1 & b2) ^ (a2 & b1))
-
 
 def hermitian_inner(x: GF4Vector, y: GF4Vector) -> int:
-    """Hermitian inner product sum_i x_i * y_i**2, a GF(4) element."""
-    z = x.pointwise(y.conjugate())
-    # Summing field elements adds each bitplane mod 2.
-    return (_parity(z.hi) << 1) | _parity(z.lo)
+    """Hermitian inner product sum_i x_i * y_i**2, a GF(4) element.
+
+    x_i * y_i**2 = (ad + bc)*omega + (ac + b(c + d)) for x_i = a*omega + b
+    and y_i = c*omega + d; each coefficient sums as a parity of bitplanes.
+    """
+    if x.n != y.n:
+        raise ValueError("length mismatch")
+    omega_part = _parity((x.hi & y.lo) ^ (x.lo & y.hi))
+    return (omega_part << 1) | _parity((x.hi & y.hi) ^ (x.lo & (y.lo ^ y.hi)))
 
 
 def trace_inner(x: GF4Vector, y: GF4Vector) -> int:
     """Trace inner product Tr(sum_i x_i * y_i**2), a GF(2) element."""
-    z = x.pointwise(y.conjugate())
-    return _parity(z.hi)
+    return trace(hermitian_inner(x, y))
 
 
 def concat(x: GF4Vector, y: GF4Vector) -> GF4Vector:
@@ -238,14 +242,3 @@ def delete_coordinate(x: GF4Vector, i: int) -> GF4Vector:
     lo = (x.lo & keep) | ((x.lo >> (i + 1)) << i)
     hi = (x.hi & keep) | ((x.hi >> (i + 1)) << i)
     return GF4Vector(x.n - 1, lo, hi)
-
-
-def vector_sum(vectors: Sequence[GF4Vector], n: int) -> GF4Vector:
-    """Sum of a sequence of vectors of common length n."""
-    lo = hi = 0
-    for v in vectors:
-        if v.n != n:
-            raise ValueError("length mismatch")
-        lo ^= v.lo
-        hi ^= v.hi
-    return GF4Vector(n, lo, hi)

@@ -332,8 +332,14 @@ def test_outputs_are_deterministic():
     assert first.returncode == second.returncode == 0
 
 
+# Header-only zero codes too long to hold: the first raises MemoryError where
+# a length-n object is built, the second OverflowError.
+HUGE_ZERO_CODE = "1000000000000000000 0\n"
+HUGER_ZERO_CODE = "100000000000000000000 0\n"
+
 # Malformed inputs for every verb: (arguments, stdin, exit code).  A file
-# argument "{binary}" is replaced by a file that is not UTF-8 text.
+# argument "{binary}" is replaced by a file that is not UTF-8 text, and
+# "{huge}" by a file holding HUGE_ZERO_CODE.
 MALFORMED = [
     (("check", "-"), "5\n", 3),
     (("check", "-"), "2 1\n1 4\n", 3),
@@ -364,6 +370,14 @@ MALFORMED = [
     (("quantum", "catalog:c5_2", "--max-dim", "-1"), None, 2),
     (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--max-dim", "-1"), None, 2),
     (("catalog", "no_such_entry"), None, 3),
+    (("wenum", "{huge}"), None, 4),
+    (("quantum", "{huge}"), None, 4),
+    (("dual-distance", "{huge}"), None, 4),
+    (("double", "--a", "{huge}", "--b", "catalog:c5_2", "--x1", "allones"), None, 4),
+    (("wenum", "-"), HUGER_ZERO_CODE, 4),
+    (("double", "--a", "-", "--b", "catalog:c5_2", "--x1", "allones"), HUGER_ZERO_CODE, 4),
+    (("macwilliams", "-", "--n", "100000000000000000000", "--k", "0"), "0 1\n", 4),
+    (("macwilliams", "-", "--n", "3", "--k", "100000000000000000000"), "0 1\n", 4),
 ]
 
 
@@ -372,12 +386,29 @@ MALFORMED = [
 def test_malformed_input_exits_with_documented_code(tmp_path, args, stdin, code):
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe\x00")
-    proc = run(*(a.replace("{binary}", str(binary)) for a in args), stdin=stdin)
+    huge = tmp_path / "huge.txt"
+    huge.write_text(HUGE_ZERO_CODE)
+    proc = run(*(a.replace("{binary}", str(binary)).replace("{huge}", str(huge))
+                 for a in args), stdin=stdin)
     assert proc.returncode == code
     assert proc.returncode in (2, 3, 4, 5)
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("header", (HUGE_ZERO_CODE, HUGER_ZERO_CODE))
+def test_check_on_a_huge_zero_code(header):
+    # check builds nothing of length n, so the header alone is answered.
+    proc = run("check", "-", stdin=header)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == (f"n: {header.split()[0]}\n"
+                           "k: 0\n"
+                           "hermitian_self_orthogonal: true\n"
+                           "trace_self_orthogonal: true\n"
+                           "even: true\n"
+                           "self_dual: false\n")
 
 
 def test_only_the_standard_library_is_imported():

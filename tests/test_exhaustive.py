@@ -63,6 +63,9 @@ def test_every_code_of_length_n_matches_the_oracle(n):
         even = all(oracle.wt(v) % 2 == 0 for v in words)
         assert code.is_even() == even
         assert code.is_hermitian_self_orthogonal() == even
+        # So is trace self-orthogonality, by the trace product of every pair.
+        assert code.is_trace_self_orthogonal() == all(
+            oracle.otrace_ip(u, v) == 0 for u in words for v in words) == even
 
         found = find_odd_dual_vector(code)
         got = None if found is None else found.vector.coords()
