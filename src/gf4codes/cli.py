@@ -23,7 +23,7 @@ from .enumerator import (DEFAULT_MAX_DIM, dual_distance, format_enumerator,
                          macwilliams, parse_enumerator, weight_enumerator)
 from .errors import (BudgetExceededError, ConsistencyError, FormatError,
                      GF4CodesError, PreconditionError)
-from .gf4 import GF4Vector
+from .gf4 import GF4Vector, _records
 from .quantum import parse_bounds_table, quantum_params
 
 EXIT_OK = 0
@@ -55,11 +55,7 @@ def _load_code(spec: str) -> LinearCode:
 
 def _parse_vector_digits(text: str) -> GF4Vector:
     """Digits from {0,1,2,3}, whitespace-separated or contiguous."""
-    tokens: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            tokens += line.split()
+    tokens = [tok for _, line in _records(text) for tok in line.split()]
     if not tokens:
         raise FormatError("no vector digits found")
     try:

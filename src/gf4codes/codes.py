@@ -11,9 +11,9 @@ Row reduction and duals work on the (lo, hi) bitplanes of the rows, never
 coordinate by coordinate, through the bitplane helpers of `gf4`: a pivot
 is found from the lowest set bit of a row's support, and a row is
 eliminated with two XORs.  One insertion step, `_insert`, is the only
-elimination loop: `rref` runs it over all rows and back-substitutes, and
+elimination loop: `rref` runs it over all rows and back-substitutes,
 `LinearCode.from_rows` runs it forward to find the dependent rows in one
-pass.
+pass, and `contains` runs it once against the reduced form.
 
 Each code is reduced at most once, and often never.  A code whose rows
 each own a column, nonzero in that row alone, is independent by one OR/AND
@@ -32,8 +32,8 @@ import warnings
 from collections.abc import Iterable, Sequence
 
 from .errors import MatrixFormatError, PreconditionError
-from .gf4 import (GF4Vector, _entry, _multiples, cyclic_shift, delete_coordinate,
-                  hermitian_inner, inv)
+from .gf4 import (GF4Vector, _entry, _multiples, _records, cyclic_shift,
+                  delete_coordinate, hermitian_inner, inv)
 
 
 _DIGITS = ("0", "1", "2", "3")
@@ -213,19 +213,12 @@ class LinearCode:
             self._reduced_form = rref(self.rows, self.n)
         return self._reduced_form
 
-    def _residual(self, v: GF4Vector) -> GF4Vector:
-        # Reduce v against the reduced form; zero residual means membership.
-        for p, row in zip(*self._reduced()):
-            c = v[p]
-            if c:
-                v = v + row.scale(c)
-        return v
-
     def contains(self, v: GF4Vector) -> bool:
-        """Membership of v in the row span."""
+        """Membership of v in the row span: v reduces to zero by `_insert`."""
         if v.n != self.n:
             raise ValueError("length mismatch")
-        return self._residual(v).is_zero()
+        echelon = {1 << p: _multiples(row.lo, row.hi) for p, row in zip(*self._reduced())}
+        return not _insert(echelon, v.lo, v.hi)
 
     def same_row_space(self, other: "LinearCode") -> bool:
         """Equality as codes, decided on canonical reduced forms."""
@@ -341,10 +334,7 @@ def parse_matrix(text: str) -> LinearCode:
     """
     header: tuple[int, int] | None = None
     rows: list[GF4Vector] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _records(text):
         tokens = line.split()
         if header is None:
             if len(tokens) != 2:

@@ -10,6 +10,10 @@ their hermitian duals, build:
 * the auxiliary [n+1, k+1] codes spanned by (G | 0-column) plus (x | 1),
   whose dual distances bound the dual distances of the results.
 
+All three are one step, `_adjoin`: rows (x_i | e_i) under (G | 0).  The
+pair is checked on the inputs, as (g | g) rows are self-orthogonal even
+when g is not: <(g | g), (g | g)> = 2<g, g> = 0 in characteristic 2.
+
 The `DoublingResult` that `double_pair` returns is the one place that
 builds the auxiliary codes and evaluates both bounds, each only when it is
 first read.
@@ -23,13 +27,14 @@ exists exactly when the dual is self-orthogonal.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 from .codes import LinearCode
 from .enumerator import DEFAULT_MAX_DIM, dual_distance
 from .errors import PreconditionError
-from .gf4 import GF4Vector, append, concat, hermitian_inner
+from .gf4 import GF4Vector, concat, hermitian_inner
 
 
 @dataclass(frozen=True)
@@ -56,26 +61,29 @@ class OddDualVector:
         return cls(vector, weight)
 
 
-def _as_odd_dual(code: LinearCode, x: GF4Vector | OddDualVector) -> OddDualVector:
-    vec = x.vector if isinstance(x, OddDualVector) else x
-    return OddDualVector.for_code(code, vec)
-
-
-def _check_pair(c1: LinearCode, c2: LinearCode) -> None:
+def _checked(c1: LinearCode, c2: LinearCode,
+             *xs: GF4Vector | OddDualVector) -> tuple[OddDualVector, ...]:
+    """Validate each x_i against C_i, then the pair; the validated vectors."""
+    odd = tuple(OddDualVector.for_code(c, getattr(x, "vector", x)) for c, x in zip((c1, c2), xs))
     if (c1.n, c1.k) != (c2.n, c2.k):
         raise PreconditionError(
             f"input codes have different parameters [{c1.n},{c1.k}] and [{c2.n},{c2.k}]")
     for name, c in (("first", c1), ("second", c2)):
         if not c.is_hermitian_self_orthogonal():
             raise PreconditionError(f"{name} input code is not hermitian self-orthogonal")
+    return odd
 
 
-def _build(rows: list[GF4Vector], n: int, k: int) -> LinearCode:
+def _adjoin(rows: Sequence[GF4Vector], n: int, xs: Sequence[GF4Vector], k: int) -> LinearCode:
+    """Rows (g | 0..0) for each g, then (x_i | e_i), as a checked [n + len(xs), k] code."""
+    m = n + len(xs)
+    adjoined = [GF4Vector(m, g.lo, g.hi) for g in rows]
+    adjoined += [GF4Vector(m, x.lo | 1 << (n + i), x.hi) for i, x in enumerate(xs)]
     # Post-construction verification: dimension and self-orthogonality are
     # guaranteed by the preconditions, so a failure here means the caller
     # slipped past them.
     try:
-        code = LinearCode(rows, n=n)
+        code = LinearCode(adjoined, n=m)
     except ValueError:
         raise PreconditionError("constructed generator matrix is rank-deficient") from None
     if code.k != k:
@@ -88,36 +96,28 @@ def _build(rows: list[GF4Vector], n: int, k: int) -> LinearCode:
 def double_odd(c1: LinearCode, c2: LinearCode,
                x1: GF4Vector | OddDualVector) -> LinearCode:
     """The [2n+1, k+1] doubled code from (C1, C2) and x1."""
-    x = _as_odd_dual(c1, x1)
-    _check_pair(c1, c2)
-    zeros = GF4Vector(c1.n)
-    rows = [append(concat(a, b), 0) for a, b in zip(c1.rows, c2.rows)]
-    rows.append(append(concat(x.vector, zeros), 1))
-    return _build(rows, 2 * c1.n + 1, c1.k + 1)
+    (x,) = _checked(c1, c2, x1)
+    pairs = [concat(a, b) for a, b in zip(c1.rows, c2.rows)]
+    return _adjoin(pairs, 2 * c1.n, [concat(x.vector, GF4Vector(c1.n))], c1.k + 1)
 
 
 def double_even(c1: LinearCode, c2: LinearCode,
                 x1: GF4Vector | OddDualVector,
                 x2: GF4Vector | OddDualVector) -> LinearCode:
     """The [2n+2, k+2] doubled code from (C1, C2) and (x1, x2)."""
-    xo1 = _as_odd_dual(c1, x1)
-    xo2 = _as_odd_dual(c2, x2)
-    _check_pair(c1, c2)
+    xo1, xo2 = _checked(c1, c2, x1, x2)
     zeros = GF4Vector(c1.n)
-    rows = [append(append(concat(a, b), 0), 0) for a, b in zip(c1.rows, c2.rows)]
-    rows.append(append(append(concat(xo1.vector, zeros), 1), 0))
-    rows.append(append(append(concat(zeros, xo2.vector), 0), 1))
-    return _build(rows, 2 * c1.n + 2, c1.k + 2)
+    pairs = [concat(a, b) for a, b in zip(c1.rows, c2.rows)]
+    xs = [concat(xo1.vector, zeros), concat(zeros, xo2.vector)]
+    return _adjoin(pairs, 2 * c1.n, xs, c1.k + 2)
 
 
 def auxiliary_code(c: LinearCode, x: GF4Vector | OddDualVector) -> LinearCode:
     """The [n+1, k+1] code spanned by (G | 0-column) plus the row (x | 1)."""
-    xo = _as_odd_dual(c, x)
+    xo = OddDualVector.for_code(c, getattr(x, "vector", x))
     if not c.is_hermitian_self_orthogonal():
         raise PreconditionError("input code is not hermitian self-orthogonal")
-    rows = [append(g, 0) for g in c.rows]
-    rows.append(append(xo.vector, 1))
-    return _build(rows, c.n + 1, c.k + 1)
+    return _adjoin(c.rows, c.n, [xo.vector], c.k + 1)
 
 
 def find_odd_dual_vector(code: LinearCode) -> OddDualVector | None:
@@ -207,7 +207,5 @@ def double_pair(c1: LinearCode, c2: LinearCode,
     The inputs are validated here, so a bad pair or vector fails at once;
     the codes and bounds of the result are built when first read.
     """
-    xo1 = _as_odd_dual(c1, x1)
-    xo2 = _as_odd_dual(c2, x2)
-    _check_pair(c1, c2)
+    xo1, xo2 = _checked(c1, c2, x1, x2)
     return DoublingResult(c1, c2, xo1, xo2, max_dim)

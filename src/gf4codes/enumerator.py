@@ -6,7 +6,8 @@ highest-index nonzero coefficient is 1.  Block r starts at row r and walks
 the 4**r combinations of rows 0..r-1 in binary Gray order over their 2r
 GF(2)-generators (each row and its omega multiple), so each step is two
 XORs and a popcount on the bitplanes.  The counts are then tripled and the
-zero word added.  The projective index range may be split into contiguous
+zero word added; the zero code has no projective words, so it needs no
+special case.  The projective index range may be split into contiguous
 partitions whose histograms are summed; the result is bit-identical for any
 partition count.
 
@@ -22,7 +23,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, ConsistencyError, FormatError
-from .gf4 import _multiples
+from .gf4 import _multiples, _records
 
 if TYPE_CHECKING:
     from .codes import LinearCode
@@ -69,9 +70,6 @@ def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
     _check_budget(code.k, max_dim)
     counts = [0] * (code.n + 1)
     k = code.k
-    if k == 0:
-        counts[0] = 1
-        return WeightEnumerator(tuple(counts))
     # GF(2)-generators as (lo, hi) bitplane pairs: each row and its omega
     # multiple.  The 2**(2k) subset sums are exactly the 4**k codewords.
     bg = [m for row in code.rows for m in _multiples(row.lo, row.hi)[:2]]
@@ -191,10 +189,7 @@ def parse_enumerator(text: str, n: int) -> WeightEnumerator:
         raise ValueError("length must be nonnegative")
     coeffs = [0] * (n + 1)
     seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _records(text):
         tokens = line.replace(",", " ").split()
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected 'j A_j'")

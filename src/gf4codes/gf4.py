@@ -17,7 +17,7 @@ This module is the one owner of the bitplane formulas (`_multiples`,
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 OMEGA = 2
 OMEGA_SQ = 3
@@ -66,6 +66,14 @@ def trace(a: int) -> int:
 _LO_BITS = bytes.maketrans(b"0123", b"0101")
 _HI_BITS = bytes.maketrans(b"0123", b"0011")
 _HI_DIGITS = bytes.maketrans(b"01", b"\x00\x02")
+
+
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line neither blank nor a # comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def _parity(v: int) -> int:

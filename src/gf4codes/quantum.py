@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .codes import LinearCode
 from .enumerator import DEFAULT_MAX_DIM, macwilliams, min_distance, weight_enumerator
 from .errors import ConsistencyError, FormatError, PreconditionError
+from .gf4 import _records
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,7 @@ def parse_bounds_table(text: str) -> dict[tuple[int, int], tuple[int, int]]:
     it.  Lines starting with ``#`` and blank lines are skipped.
     """
     table: dict[tuple[int, int], tuple[int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _records(text):
         tokens = [t.strip() for t in line.split(",")]
         if len(tokens) != 4:
             raise FormatError(f"line {lineno}: expected 'n,k,d_lower,d_upper'")

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from gf4codes import catalog, emit_matrix, parse_matrix
+from gf4codes import (FormatError, MatrixFormatError, catalog, emit_matrix,
+                      parse_bounds_table, parse_enumerator, parse_matrix)
 
 C5_2_TEXT = "5 2\n1 0 1 2 2\n0 1 2 2 1\n"
 FULL_SPACE_TEXT = "2 2\n1 0\n0 1\n"
@@ -224,12 +225,15 @@ def test_double_enumerates_only_what_its_mode_prints(monkeypatch, capsys, mode, 
             return real_build(*args)
         return build
 
-    for name in ("double_odd", "double_even"):
+    for name in ("double_odd", "double_even", "auxiliary_code"):
         monkeypatch.setattr(doubling, name, recording(name))
     assert cli.main(["double", "--a", "catalog:c5_2", "--b", "catalog:c5_2",
                      "--x1", "allones", "--x2", "allones", "--mode", mode]) == 0
     assert calls == enumerated
-    assert built == ["double_" + mode]
+    # Every code is built through the module-level names, which the
+    # benchmark's span tracer wraps: the doubled code, then C11 (and C22).
+    assert built == {"odd": ["double_odd", "auxiliary_code"],
+                     "even": ["double_even", "auxiliary_code", "auxiliary_code"]}[mode]
     assert f"mode: {mode}\n" in capsys.readouterr().out
 
 
@@ -300,6 +304,40 @@ def test_catalog_detail():
 
 
 # ---------------------------------------------------------------------------
+# text formats
+# ---------------------------------------------------------------------------
+
+def decorate(text):
+    """`text` with CRLF line ends, indented comments, lines of only
+    whitespace, and blank lines at both ends."""
+    lines = ["", " \t ", "  # leading comment"]
+    for line in text.splitlines():
+        lines += [line, "\t# indented comment", "   "]
+    return "\r\n".join(lines + ["", ""]) + "\r\n"
+
+
+def test_text_formats_read_decorated_text_as_plain(tmp_path):
+    matrix, enum, bounds, vector = C5_2_TEXT, "0 1\n4 15\n", "12,4,4,4\n5,1,3,3\n", "1 1 1\n1 1\n"
+    assert parse_matrix(decorate(matrix)) == parse_matrix(matrix)
+    assert parse_enumerator(decorate(enum), 5) == parse_enumerator(enum, 5)
+    assert parse_bounds_table(decorate(bounds)) == parse_bounds_table(bounds)
+    plain, decorated = tmp_path / "x.txt", tmp_path / "x_decorated.txt"
+    plain.write_text(vector)
+    decorated.write_bytes(decorate(vector).encode())
+    runs = [run("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2",
+                "--x1", str(path), "--x2", str(path)) for path in (plain, decorated)]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout and "x1_weight: 5\n" in runs[0].stdout
+    # Errors count every physical line: each bad row follows two comments.
+    with pytest.raises(MatrixFormatError, match="^line 4: invalid digit '4'$"):
+        parse_matrix("# a\r\n  # b\r\n3 1\r\n1 4 0\r\n")
+    with pytest.raises(FormatError, match="^line 4: expected integers 'j A_j'$"):
+        parse_enumerator("# a\n\t# b\n \n1 x\n", 3)
+    with pytest.raises(FormatError, match="^line 3: expected 'n,k,d_lower,d_upper'$"):
+        parse_bounds_table("# a\n  # b\n1,2,3\n")
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
 
@@ -337,52 +375,72 @@ def test_outputs_are_deterministic():
 HUGE_ZERO_CODE = "1000000000000000000 0\n"
 HUGER_ZERO_CODE = "100000000000000000000 0\n"
 
-# Malformed inputs for every verb: (arguments, stdin, exit code).  A file
-# argument "{binary}" is replaced by a file that is not UTF-8 text, and
-# "{huge}" by a file holding HUGE_ZERO_CODE.
+# Malformed inputs for every verb: (test id, arguments, stdin, exit code).  A
+# file argument "{binary}" is replaced by a file that is not UTF-8 text, and
+# "{huge}" by a file holding HUGE_ZERO_CODE.  Each id is written out, so a
+# new row never renumbers an existing one; test_malformed_ids_are_unique
+# keeps them distinct.
 MALFORMED = [
-    (("check", "-"), "5\n", 3),
-    (("check", "-"), "2 1\n1 4\n", 3),
-    (("check", "{binary}"), None, 2),
-    (("check", "/no/such/file"), None, 2),
-    (("wenum", "catalog:c5_2", "--partitions", "0"), None, 2),
-    (("wenum", "catalog:c5_2", "--partitions", "-3"), None, 2),
-    (("wenum", "catalog:no_such_entry"), None, 3),
-    (("wenum", "catalog:c13_6_a", "--max-dim", "2"), None, 4),
-    (("macwilliams", "-", "--n", "3", "--k", "-1"), "0 1\n", 2),
-    (("macwilliams", "-", "--n", "-1", "--k", "1"), "0 1\n", 2),
-    (("macwilliams", "-", "--n", "3", "--k", "1"), "x y\n", 3),
-    (("macwilliams", "-", "--n", "3", "--k", "5"), "0 1\n", 5),
-    (("macwilliams", "{binary}", "--n", "3", "--k", "1"), None, 2),
-    (("dual-distance", "-"), "3 1\n1 2\n", 3),
-    (("dual-distance", "-", "--max-dim", "0"), "5 2\n1 0 1 2 2\n0 1 2 2 1\n", 4),
-    (("shorten", "catalog:c5_2", "--at", "-1"), None, 3),
-    (("shorten", "-", "--at", "0"), "2 3\n", 3),
-    (("circulant", "--first-row", "12x", "--k", "1"), None, 3),
-    (("circulant", "--first-row", "123", "--k", "0"), None, 3),
-    (("double", "--a", "catalog:c5_2", "--b", "catalog:hexacode"), None, 3),
-    (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--x1", "search:x"), None, 2),
-    (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--x1", "{binary}"), None, 2),
-    (("quantum", "-"), "2 2\n1 0\n0 1\n", 3),
-    (("quantum", "catalog:c5_2", "--bounds", "-"), "a,b\n", 3),
-    (("wenum", "catalog:c5_2", "--max-dim", "-1"), None, 2),
-    (("dual-distance", "catalog:c5_2", "--max-dim", "-1"), None, 2),
-    (("quantum", "catalog:c5_2", "--max-dim", "-1"), None, 2),
-    (("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--max-dim", "-1"), None, 2),
-    (("catalog", "no_such_entry"), None, 3),
-    (("wenum", "{huge}"), None, 4),
-    (("quantum", "{huge}"), None, 4),
-    (("dual-distance", "{huge}"), None, 4),
-    (("double", "--a", "{huge}", "--b", "catalog:c5_2", "--x1", "allones"), None, 4),
-    (("wenum", "-"), HUGER_ZERO_CODE, 4),
-    (("double", "--a", "-", "--b", "catalog:c5_2", "--x1", "allones"), HUGER_ZERO_CODE, 4),
-    (("macwilliams", "-", "--n", "100000000000000000000", "--k", "0"), "0 1\n", 4),
-    (("macwilliams", "-", "--n", "3", "--k", "100000000000000000000"), "0 1\n", 4),
+    ("check -0", ("check", "-"), "5\n", 3),
+    ("check -1", ("check", "-"), "2 1\n1 4\n", 3),
+    ("check {binary}", ("check", "{binary}"), None, 2),
+    ("check /no/such/file", ("check", "/no/such/file"), None, 2),
+    ("wenum catalog:c5_2 --partitions 0", ("wenum", "catalog:c5_2", "--partitions", "0"), None, 2),
+    ("wenum catalog:c5_2 --partitions -3",
+     ("wenum", "catalog:c5_2", "--partitions", "-3"), None, 2),
+    ("wenum catalog:no_such_entry", ("wenum", "catalog:no_such_entry"), None, 3),
+    ("wenum catalog:c13_6_a --max-dim 2", ("wenum", "catalog:c13_6_a", "--max-dim", "2"), None, 4),
+    ("macwilliams - --n 3 --k -1", ("macwilliams", "-", "--n", "3", "--k", "-1"), "0 1\n", 2),
+    ("macwilliams - --n -1 --k 1", ("macwilliams", "-", "--n", "-1", "--k", "1"), "0 1\n", 2),
+    ("macwilliams - --n 3 --k 1", ("macwilliams", "-", "--n", "3", "--k", "1"), "x y\n", 3),
+    ("macwilliams - --n 3 --k 5", ("macwilliams", "-", "--n", "3", "--k", "5"), "0 1\n", 5),
+    ("macwilliams {binary} --n 3 --k 1",
+     ("macwilliams", "{binary}", "--n", "3", "--k", "1"), None, 2),
+    ("dual-distance -", ("dual-distance", "-"), "3 1\n1 2\n", 3),
+    ("dual-distance - --max-dim 0",
+     ("dual-distance", "-", "--max-dim", "0"), "5 2\n1 0 1 2 2\n0 1 2 2 1\n", 4),
+    ("shorten catalog:c5_2 --at -1", ("shorten", "catalog:c5_2", "--at", "-1"), None, 3),
+    ("shorten - --at 0", ("shorten", "-", "--at", "0"), "2 3\n", 3),
+    ("circulant --first-row 12x --k 1", ("circulant", "--first-row", "12x", "--k", "1"), None, 3),
+    ("circulant --first-row 123 --k 0", ("circulant", "--first-row", "123", "--k", "0"), None, 3),
+    ("double --a catalog:c5_2 --b catalog:hexacode",
+     ("double", "--a", "catalog:c5_2", "--b", "catalog:hexacode"), None, 3),
+    ("double --a catalog:c5_2 --b catalog:c5_2 --x1 search:x",
+     ("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--x1", "search:x"), None, 2),
+    ("double --a catalog:c5_2 --b catalog:c5_2 --x1 {binary}",
+     ("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--x1", "{binary}"), None, 2),
+    ("quantum -", ("quantum", "-"), "2 2\n1 0\n0 1\n", 3),
+    ("quantum catalog:c5_2 --bounds -", ("quantum", "catalog:c5_2", "--bounds", "-"), "a,b\n", 3),
+    ("wenum catalog:c5_2 --max-dim -1", ("wenum", "catalog:c5_2", "--max-dim", "-1"), None, 2),
+    ("dual-distance catalog:c5_2 --max-dim -1",
+     ("dual-distance", "catalog:c5_2", "--max-dim", "-1"), None, 2),
+    ("quantum catalog:c5_2 --max-dim -1", ("quantum", "catalog:c5_2", "--max-dim", "-1"), None, 2),
+    ("double --a catalog:c5_2 --b catalog:c5_2 --max-dim -1",
+     ("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--max-dim", "-1"), None, 2),
+    ("catalog no_such_entry", ("catalog", "no_such_entry"), None, 3),
+    ("wenum {huge}", ("wenum", "{huge}"), None, 4),
+    ("quantum {huge}", ("quantum", "{huge}"), None, 4),
+    ("dual-distance {huge}", ("dual-distance", "{huge}"), None, 4),
+    ("double --a {huge} --b catalog:c5_2 --x1 allones",
+     ("double", "--a", "{huge}", "--b", "catalog:c5_2", "--x1", "allones"), None, 4),
+    ("wenum -", ("wenum", "-"), HUGER_ZERO_CODE, 4),
+    ("double --a - --b catalog:c5_2 --x1 allones",
+     ("double", "--a", "-", "--b", "catalog:c5_2", "--x1", "allones"), HUGER_ZERO_CODE, 4),
+    ("macwilliams - --n 100000000000000000000 --k 0",
+     ("macwilliams", "-", "--n", "100000000000000000000", "--k", "0"), "0 1\n", 4),
+    ("macwilliams - --n 3 --k 100000000000000000000",
+     ("macwilliams", "-", "--n", "3", "--k", "100000000000000000000"), "0 1\n", 4),
 ]
 
 
-@pytest.mark.parametrize("args,stdin,code", MALFORMED,
-                         ids=[" ".join(a) for a, _, _ in MALFORMED])
+def test_malformed_ids_are_unique():
+    # pytest would number repeated ids, renaming the tests that had them.
+    ids = [row[0] for row in MALFORMED]
+    assert len(set(ids)) == len(ids), sorted(i for i in ids if ids.count(i) > 1)
+
+
+@pytest.mark.parametrize("args,stdin,code", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
 def test_malformed_input_exits_with_documented_code(tmp_path, args, stdin, code):
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe\x00")

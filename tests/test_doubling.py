@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gf4codes import (GF4Vector, LinearCode, OddDualVector, PreconditionError,
-                      auxiliary_code, catalog, double_even, double_odd,
+                      append, auxiliary_code, catalog, double_even, double_odd,
                       double_pair, dual_distance, emit_matrix,
                       find_odd_dual_vector, hermitian_inner)
 
@@ -81,6 +81,28 @@ def test_double_even_row_layout():
     assert dual_distance(cpp) == 4
 
 
+def catalog_pairs():
+    """Ordered catalog pairs of equal [n, k] whose codes both have an odd
+    dual vector, with the vectors `find_odd_dual_vector` picks."""
+    found = {name: (catalog.get(name).code, find_odd_dual_vector(catalog.get(name).code))
+             for name in catalog.names()}
+    return [(c1, c2, x1, x2) for c1, x1 in found.values() for c2, x2 in found.values()
+            if x1 is not None and x2 is not None and (c1.n, c1.k) == (c2.n, c2.k)]
+
+
+def test_every_construction_adjoins_rows_under_the_generators():
+    pairs = catalog_pairs()
+    assert len(pairs) == 9
+    for c1, c2, x1, x2 in pairs:
+        n = c1.n
+        # Shortening the [2n+2] code at its last column drops the row
+        # (0 | x2 | 0 1) and leaves the [2n+1] code, row for row.
+        assert double_even(c1, c2, x1, x2).shorten(2 * n + 1) == double_odd(c1, c2, x1)
+        for c, x in ((c1, x1), (c2, x2)):
+            assert auxiliary_code(c, x).rows == (tuple(append(g, 0) for g in c.rows)
+                                                 + (append(x.vector, 1),))
+
+
 def test_double_accepts_prevalidated_vectors():
     xo = OddDualVector.for_code(c5_2(), allones(5))
     assert double_odd(c5_2(), c5_2(), xo) == double_odd(c5_2(), c5_2(), allones(5))
@@ -128,6 +150,9 @@ def test_mismatched_parameters_rejected():
     hexa = catalog.get("hexacode").code
     with pytest.raises(PreconditionError, match="different parameters"):
         double_odd(c5_2(), hexa, allones(5))
+    # Same length, different dimension.
+    with pytest.raises(PreconditionError, match="different parameters"):
+        double_odd(c5_2(), LinearCode(c5_2().rows[:1]), allones(5))
 
 
 def test_non_self_orthogonal_inputs_rejected():

@@ -55,8 +55,11 @@ def test_frozen_catalog_profiles():
 
 
 def test_zero_code_enumerator():
-    w = weight_enumerator(LinearCode((), n=5))
-    assert w.coefficients == (1, 0, 0, 0, 0, 0)
+    # No projective words: the general walk alone gives (1, 0, ..., 0).
+    for n in (0, 1, 5, 65):
+        for partitions in (1, 2, 7):
+            w = weight_enumerator(LinearCode((), n=n), partitions=partitions)
+            assert w.coefficients == (1,) + (0,) * n
 
 
 def test_full_space_enumerator():
