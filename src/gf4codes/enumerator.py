@@ -1,29 +1,48 @@
 """Exact weight enumerators, the MacWilliams transform, and distances.
 
 Scalar multiples share a weight (wt(cx) = wt(x) for c in GF(4)*), so
-enumeration walks only the (4**k - 1)/3 projective codewords: those whose
-highest-index nonzero coefficient is 1.  Block r starts at row r and walks
-the 4**r combinations of rows 0..r-1 in binary Gray order over their 2r
-GF(2)-generators (each row and its omega multiple), so each step is two
-XORs and a popcount on the bitplanes.  The counts are then tripled and the
-zero word added; the zero code has no projective words, so it needs no
-special case.  The projective index range may be split into contiguous
-partitions whose histograms are summed; the result is bit-identical for any
-partition count.
+enumeration counts only the (4**k - 1)/3 projective codewords: those whose
+highest-index nonzero coefficient is 1.  Block r is row r plus the 4**r
+combinations of rows 0..r-1, indexed in binary Gray order over their 2r
+GF(2)-generators (each row and its omega multiple).  A small block is
+walked word by word, two XORs and a popcount on the bitplanes each.  A
+large one is cut into aligned chunks of up to 4**7 words, each an offset
+plus the whole span of the lowest generators, and a chunk is counted
+bitsliced: one 4**7-bit integer per coordinate, bit s set when word s is
+nonzero there, read from the column's key in two parity tables and summed
+by a carry-save adder into count planes.  A chunk thus costs O(n)
+big-integer operations instead of one loop step per word, and a block is
+chunked when a chunk holds at least 5 words per coordinate, where the
+two cost about the same.  The counts are then tripled and the zero word
+added; the zero code has no projective words, so it needs no special
+case.  The projective index range may be split into contiguous partitions
+whose histograms are summed; a chunk that a partition boundary cuts is
+walked, and the result is bit-identical for any partition count.
 
 The MacWilliams transform reads whole Krawtchouk columns, each built by the
 exact three-term recurrence and cached per (n, i).
+
+`dual_distance` reads small dual distances off the generator's columns
+before it enumerates anything.  The dual distance is the least number of
+linearly dependent columns of G (MacWilliams & Sloane, ch. 1): a zero
+column gives 1 and two proportional columns give 2, which one pass over
+the columns, read as integer keys, decides in O(nk) where enumeration
+costs 4**k/3 words.  Only d-dual >= 3 is enumerated and transformed, so the
+MacWilliams exactness checks run on that path, on every `macwilliams` call
+and on catalog validation, not on the codes the columns settle.
 """
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, ConsistencyError, FormatError
-from .gf4 import _multiples, _records
+from .gf4 import GF4Vector, _multiples, _records, conj
 
 if TYPE_CHECKING:
     from .codes import LinearCode
@@ -68,8 +87,8 @@ def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
     _check_budget(code.k, max_dim)
-    counts = [0] * (code.n + 1)
-    k = code.k
+    n, k = code.n, code.k
+    counts = [0] * (n + 1)
     # GF(2)-generators as (lo, hi) bitplane pairs: each row and its omega
     # multiple.  The 2**(2k) subset sums are exactly the 4**k codewords.
     bg = [m for row in code.rows for m in _multiples(row.lo, row.hi)[:2]]
@@ -77,33 +96,224 @@ def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
     # Past `total` partitions every nonempty one holds a single word, as it
     # does with exactly `total`, and the rest are empty: walk only those.
     parts = min(partitions, total)
+    keys = None  # the column keys of the rows inner to a chunk, read once
     for p in range(parts):
         a, b = total * p // parts, total * (p + 1) // parts
         # Block r holds projective indices first .. first + 4**r - 1, where
-        # first = (4**r - 1)/3; walk this partition's share of each block.
+        # first = (4**r - 1)/3; count this partition's share of each block.
         for r in range(k):
             first = ((1 << (2 * r)) - 1) // 3
             lo_j = max(a - first, 0)
             hi_j = min(b - first, 1 << (2 * r))
             if lo_j >= hi_j:
                 continue
-            # Start at row r plus the combination with Gray code lo_j.
-            lo, hi = bg[2 * r]
-            g = lo_j ^ (lo_j >> 1)
-            for t in range(2 * r):
-                if (g >> t) & 1:
-                    glo, ghi = bg[t]
+            # Gray index j = h * size + l has gray(j) = gray(h) << m, xor
+            # gray(l), xor bit m - 1 when h is odd.  So the words of an
+            # aligned chunk h are row r plus the outer generators at
+            # gray(h) plus the whole span of the m inner ones.
+            m = 2 * min(r, _SLICE_MAX_ROWS)
+            size = 1 << m
+            h0, h1 = -(-lo_j // size), hi_j // size
+            if size < _SLICE_MIN_WORDS_PER_COORD * n or h0 >= h1:
+                _walk(counts, bg, r, lo_j, hi_j)
+                continue
+            if keys is None:
+                # Bit t of a column's key is that coordinate of the constant
+                # plane of generator t, and of its omega key, of the omega
+                # plane: 7 inner rows fit 16-bit lanes.
+                packed = _column_lanes(code.rows[:min(k - 1, _SLICE_MAX_ROWS)], n, 2)
+                keys = (_unpack_lanes(packed, n, 2),
+                        _unpack_lanes(_lane_omega(packed, n, 2), n, 2))
+            _walk(counts, bg, r, lo_j, h0 * size)
+            for h in range(h0, h1):
+                lo, hi = bg[2 * r]
+                g = h ^ (h >> 1)
+                while g:
+                    glo, ghi = bg[m + (g & -g).bit_length() - 1]
                     lo ^= glo
                     hi ^= ghi
-            counts[(lo | hi).bit_count()] += 1
-            for j in range(lo_j + 1, hi_j):
-                glo, ghi = bg[(j & -j).bit_length() - 1]
-                lo ^= glo
-                hi ^= ghi
-                counts[(lo | hi).bit_count()] += 1
+                    g &= g - 1
+                _sliced(counts, m, *keys, lo, hi, n)
+            _walk(counts, bg, r, h1 * size, hi_j)
     counts = [3 * c for c in counts]
     counts[0] = 1
     return WeightEnumerator(tuple(counts))
+
+
+def _walk(counts: list[int], bg: list[tuple[int, int]], r: int, start: int, stop: int) -> None:
+    """Count block r's words at Gray indices start .. stop - 1, one at a time."""
+    if start >= stop:
+        return
+    # Start at row r plus the combination with Gray code `start`.
+    lo, hi = bg[2 * r]
+    g = start ^ (start >> 1)
+    for t in range(2 * r):
+        if (g >> t) & 1:
+            glo, ghi = bg[t]
+            lo ^= glo
+            hi ^= ghi
+    counts[(lo | hi).bit_count()] += 1
+    for j in range(start + 1, stop):
+        glo, ghi = bg[(j & -j).bit_length() - 1]
+        lo ^= glo
+        hi ^= ghi
+        counts[(lo | hi).bit_count()] += 1
+
+
+# A bitsliced chunk spans at most 4**7 words, so each plane is a 2 KiB
+# integer and the parity tables of the largest chunk, kept for the life of
+# the process, take 512 KiB.  A chunk beats the walk once it holds at least
+# 5 words per coordinate, at any length from 13 to 800: its cost grows with
+# the n planes, the walk's with the words.
+_SLICE_MAX_ROWS = 7
+_SLICE_MIN_WORDS_PER_COORD = 5
+_DIGIT_VALUES = bytes.maketrans(b"0123", b"\x00\x01\x02\x03")
+# Struct formats that unpack lanes of the machine widths.
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _lane_width(k: int) -> int:
+    """Bytes per lane for column keys of k base-4 digits below a clear top bit."""
+    width = 1
+    while 8 * width <= 2 * k:
+        width *= 2
+    return width
+
+
+def _column_lanes(rows: Sequence[GF4Vector], n: int, width: int) -> int:
+    """The key sum_r c_r(i) * 4**r of each column i of `rows`, in lane i.
+
+    Lanes are `width` bytes, lane 0 lowest.  Each row's digits are spread
+    one lane a coordinate by a slice assignment and shifted to digit r, so
+    the matrix is transposed by a few big-integer operations per row.
+    """
+    lanes = bytearray(width * n)
+    keys = 0
+    for r, row in enumerate(rows):
+        lanes[::width] = row.to_digits().encode().translate(_DIGIT_VALUES)
+        keys |= int.from_bytes(lanes, "little") << (2 * r)
+    return keys
+
+
+def _lane_omega(keys: int, n: int, width: int) -> int:
+    """omega times every digit of every lane: (lo, hi) -> (hi, lo ^ hi)."""
+    even = int.from_bytes(b"\x55" * (width * n), "little")
+    lo, hi = keys & even, keys >> 1 & even
+    return hi | (lo ^ hi) << 1
+
+
+def _lane_min(a: int, b: int, n: int, width: int) -> int:
+    """The lane-wise minimum of two packings whose lanes keep the top bit clear."""
+    bits = 8 * width
+    guard = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    # A lane of (a | guard) - b keeps its guard bit exactly when that lane
+    # of a is at least that of b, and no lane borrows from the next.
+    at_least = ((a | guard) - b & guard) >> (bits - 1)
+    return a ^ (a ^ b) & at_least * ((1 << bits) - 1)
+
+
+def _unpack_lanes(keys: int, n: int, width: int) -> Sequence[int]:
+    """The n lanes of `keys` as integers, lane 0 first."""
+    raw = keys.to_bytes(width * n, "little")
+    if width in _LANE_FORMATS:
+        return struct.unpack(f"<{n}{_LANE_FORMATS[width]}", raw)
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, width * n, width)]
+
+
+@lru_cache(maxsize=None)
+def _parity_tables(m: int) -> tuple[int, list[int], list[int]]:
+    """(split, low, high) such that low[v % 2**split] ^ high[v >> split] is
+    the 2**m-bit integer whose bit s is the parity of s & v, for v < 2**m.
+
+    Each table is the span of the single-bit patterns of its half of the m
+    bits, so a parity plane costs two lookups and one XOR.
+    """
+    ones = (1 << (1 << m)) - 1
+    # Bit s of pattern t is bit t of s: runs of 2**t zeros and ones.
+    patterns = [(((1 << (1 << t)) - 1) << (1 << t)) * (ones // ((1 << (2 << t)) - 1))
+                for t in range(m)]
+
+    def span(base: list[int]) -> list[int]:
+        table = [0]
+        for pattern in base:
+            table += [x ^ pattern for x in table]
+        return table
+
+    split = m // 2
+    return split, span(patterns[:split]), span(patterns[split:])
+
+
+def _sliced(counts: list[int], m: int, keys: Sequence[int], omega_keys: Sequence[int],
+            lo: int, hi: int, n: int) -> None:
+    """Count the 2**m words (lo, hi) + span of generators 0..m-1 at once.
+
+    Bit s of a coordinate's plane says whether that coordinate of word s is
+    nonzero; word s adds generator t when bit t of s is set, so its
+    constant and omega planes are parities of s against the column keys,
+    complemented where (lo, hi) is nonzero.  A carry-save adder sums the n
+    planes into binary count planes, and the words of each weight are the
+    ones in its pattern of count planes, split off one plane at a time.
+    """
+    ones = (1 << (1 << m)) - 1
+    split, low, high = _parity_tables(m)
+    low_mask, high_mask = (1 << split) - 1, (1 << (m - split)) - 1
+    # pending[level] holds one or two planes of weight 2**level.
+    pending: list[list[int]] = []
+    offsets = GF4Vector(n, lo, hi).to_digits().encode()
+    for key, omega_key, digit in zip(keys, omega_keys, offsets):
+        plo = low[key & low_mask] ^ high[key >> split & high_mask]
+        phi = low[omega_key & low_mask] ^ high[omega_key >> split & high_mask]
+        if digit & 1:
+            plo ^= ones
+        if digit & 2:
+            phi ^= ones
+        plane = plo | phi
+        level = 0
+        while plane:
+            if level == len(pending):
+                pending.append([plane])
+                break
+            bucket = pending[level]
+            if len(bucket) == 1:
+                bucket.append(plane)
+                break
+            a, b = bucket
+            t = a ^ b
+            pending[level] = [t ^ plane]
+            plane = a & b | t & plane
+            level += 1
+    planes = []
+    carry = 0
+    for bucket in pending:
+        if carry:
+            bucket.append(carry)
+        if len(bucket) == 3:
+            a, b, c = bucket
+            t = a ^ b
+            planes.append(t ^ c)
+            carry = a & b | t & c
+        elif len(bucket) == 2:
+            a, b = bucket
+            planes.append(a ^ b)
+            carry = a & b
+        else:
+            planes.append(bucket[0])
+            carry = 0
+    if carry:
+        planes.append(carry)
+    groups = [(0, ones)]
+    for level in reversed(range(len(planes))):
+        plane = planes[level]
+        split_groups = []
+        for weight, words in groups:
+            high_words = words & plane
+            if high_words:
+                split_groups.append((weight | 1 << level, high_words))
+            if high_words != words:
+                split_groups.append((weight, words ^ high_words))
+        groups = split_groups
+    for weight, words in groups:
+        counts[weight] += words.bit_count()
 
 
 @lru_cache(maxsize=None)
@@ -164,12 +374,68 @@ def min_distance(w: WeightEnumerator) -> int:
     return w.n + 1
 
 
-def dual_distance(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM) -> int:
-    """Minimum distance of the hermitian dual, via MacWilliams.
+def _lead(key: int) -> int:
+    """The first nonzero digit of a nonzero column key, row 0 first."""
+    return key >> ((key & -key).bit_length() - 1 & ~1) & 3
 
-    The dual itself is never enumerated, so this stays exact far past the
+
+def _short_dual_words(code: "LinearCode") -> Iterator[GF4Vector]:
+    """Dual words of weight 1 or 2 read off the columns of G, lazily.
+
+    d-dual is the least number of linearly dependent columns of G.  A zero
+    column i, found from the union of the rows' supports, gives e_i, and
+    is then the only word yielded.  Otherwise every column j = b*p whose
+    class of proportional columns was first seen at column i = a*p, with p
+    the multiple whose first nonzero digit is 1, gives the word with
+    conj(b) at i and conj(a) at j; for col_j = lambda*col_i that is
+    conj(a) times (conj(lambda) at i, 1 at j).  In each class these words
+    span all the others, so they span every weight-2 dual word.
+
+    The columns are read all at once as integer keys (`_column_lanes`), and
+    each class is named by the least key of its three nonzero multiples,
+    taken lane-wise on the packed keys, so the scan itself is one dict
+    lookup per column.
+    """
+    n = code.n
+    support = 0
+    for row in code.rows:
+        support |= row.lo | row.hi
+    zero = (~support & (support + 1)).bit_length() - 1
+    if zero < n:
+        yield GF4Vector(n, 1 << zero)
+        return
+    width = _lane_width(code.k)
+    keys = _column_lanes(code.rows, n, width)
+    by_omega = _lane_omega(keys, n, width)
+    classes = _lane_min(_lane_min(keys, by_omega, n, width), _lane_omega(by_omega, n, width),
+                        n, width)
+    lane = (1 << 8 * width) - 1
+    first: dict[int, int] = {}
+    for j, point in enumerate(_unpack_lanes(classes, n, width)):
+        i = first.setdefault(point, j)
+        if i != j:
+            a, b = (_lead(keys >> 8 * width * c & lane) for c in (i, j))
+            yield GF4Vector(n, 1 << i).scale(conj(b)) + GF4Vector(n, 1 << j).scale(conj(a))
+
+
+def dual_distance(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM) -> int:
+    """Minimum distance of the hermitian dual.
+
+    A zero column of G gives 1, two proportional columns give 2, and
+    k = n gives the sentinel n + 1, all without enumeration.  Otherwise the
+    code is enumerated and its dual enumerator taken by MacWilliams; the
+    dual itself is never enumerated, so this stays exact far past the
     enumeration budget of the dual dimension.
     """
+    _check_budget(code.k, max_dim)
+    if code.k == code.n:
+        return code.n + 1
+    # The zero code takes the general path, so a length too large for
+    # memory fails there with the same error as always.
+    if code.k:
+        word = next(_short_dual_words(code), None)
+        if word is not None:
+            return word.weight()
     return min_distance(macwilliams(weight_enumerator(code, max_dim=max_dim), code.k))
 
 

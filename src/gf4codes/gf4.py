@@ -69,8 +69,13 @@ _HI_DIGITS = bytes.maketrans(b"01", b"\x00\x02")
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) of each line neither blank nor a # comment."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    """(line number, stripped line) of each line neither blank nor a # comment.
+
+    Lines end at CRLF, CR or LF only, as editors count them; the other
+    breaks `str.splitlines` knows (form feed, U+2028, ...) are whitespace
+    inside a line.
+    """
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line

@@ -8,6 +8,14 @@ the dual distance.  `quantum_params` returns d, the dual distance and both
 flags in one `QuantumParams`.  Both enumerators come from the classical
 side: the code's by direct enumeration, the dual's by MacWilliams, so the
 dual is never enumerated.
+
+The columns of G settle the low cases without either enumerator
+(Calderbank-Rains-Shor-Sloane 1998 for the quantum side).  A zero column
+puts a weight-1 word in the dual that the even code cannot hold, so
+d = d-dual = 1.  Proportional columns give the weight-2 dual words, and
+if one lies outside the code, d = d-dual = 2.  Both cases are pure.  A
+self-dual code, or one whose weight-2 dual words all lie in it, or one
+with d-dual >= 3, takes the full path, with its containment check.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import LinearCode
-from .enumerator import DEFAULT_MAX_DIM, macwilliams, min_distance, weight_enumerator
+from .enumerator import (DEFAULT_MAX_DIM, _check_budget, _short_dual_words, macwilliams,
+                         min_distance, weight_enumerator)
 from .errors import ConsistencyError, FormatError, PreconditionError
 from .gf4 import _records
 
@@ -41,6 +50,17 @@ def quantum_params(code: LinearCode, *, max_dim: int = DEFAULT_MAX_DIM) -> Quant
     """Quantum [[n, n-2k, d]] parameters for a self-orthogonal [n, k] code."""
     if not code.is_hermitian_self_orthogonal():
         raise PreconditionError("code is not hermitian self-orthogonal")
+    _check_budget(code.k, max_dim)
+    if 0 < 2 * code.k < code.n:
+        # Neither the zero code nor a self-dual one.  The words come
+        # lightest first and span every dual word of weight at most 2, so
+        # the first outside the code has weight d = d-dual.  A weight-1
+        # word is never inside: the code is even.
+        for word in _short_dual_words(code):
+            d = word.weight()
+            if d == 1 or not code.contains(word):
+                return QuantumParams(n=code.n, k=code.n - 2 * code.k, d=d, d_dual=d,
+                                     pure=True, degenerate=False)
     w = weight_enumerator(code, max_dim=max_dim)
     wd = macwilliams(w, code.k)
     surplus = [d - c for c, d in zip(w.coefficients, wd.coefficients)]

@@ -335,6 +335,15 @@ def test_text_formats_read_decorated_text_as_plain(tmp_path):
         parse_enumerator("# a\n\t# b\n \n1 x\n", 3)
     with pytest.raises(FormatError, match="^line 3: expected 'n,k,d_lower,d_upper'$"):
         parse_bounds_table("# a\n  # b\n1,2,3\n")
+    # Only \r\n, \r and \n end a line: a U+2028 in a comment and a form feed
+    # in a row are whitespace within their lines, as in an editor.
+    assert parse_matrix("3 1\r1 0 0\r") == parse_matrix("3 1\n1 0 0\n")
+    assert parse_matrix("3 1\n# note\u2028more\n1 0 0\n") == parse_matrix("3 1\n1 0 0\n")
+    assert parse_matrix("3 1\n1 0\x0c0\n") == parse_matrix("3 1\n1 0 0\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes("# note\u2028more\n2 1\n1\x0c4\n".encode())
+    proc = run("check", str(bad))
+    assert (proc.returncode, proc.stderr) == (3, "error: line 3: invalid digit '4'\n")
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +408,9 @@ MALFORMED = [
     ("dual-distance -", ("dual-distance", "-"), "3 1\n1 2\n", 3),
     ("dual-distance - --max-dim 0",
      ("dual-distance", "-", "--max-dim", "0"), "5 2\n1 0 1 2 2\n0 1 2 2 1\n", 4),
+    ("dual-distance - --max-dim 0 (zero column)",
+     ("dual-distance", "-", "--max-dim", "0"), "3 1\n1 1 0\n", 4),
+    ("quantum - --max-dim 0 (zero column)", ("quantum", "-", "--max-dim", "0"), "3 1\n1 1 0\n", 4),
     ("shorten catalog:c5_2 --at -1", ("shorten", "catalog:c5_2", "--at", "-1"), None, 3),
     ("shorten - --at 0", ("shorten", "-", "--at", "0"), "2 3\n", 3),
     ("circulant --first-row 12x --k 1", ("circulant", "--first-row", "12x", "--k", "1"), None, 3),

@@ -10,6 +10,7 @@ from gf4codes import (BudgetExceededError, ConsistencyError, FormatError,
                       min_distance, parse_enumerator, quantum_params,
                       weight_enumerator)
 from gf4codes import enumerator
+from gf4codes.gf4 import hermitian_inner
 
 import oracle
 
@@ -109,6 +110,33 @@ def test_matches_naive_enumeration_past_a_machine_word():
             assert list(got.coefficients) == oracle.owenum(rows, n), (n, k)
 
 
+def test_bitsliced_chunks_match_naive_enumeration(monkeypatch):
+    # Chunks of 4^2 words, bitsliced at any length: blocks past row 2 take
+    # several chunks with outer offsets, and partitions cut chunks at both
+    # ends, so every path of the chunked count is taken.
+    monkeypatch.setattr(enumerator, "_SLICE_MAX_ROWS", 2)
+    monkeypatch.setattr(enumerator, "_SLICE_MIN_WORDS_PER_COORD", 0)
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randrange(1, 13)
+        k = rng.randrange(1, min(n, 5) + 1)
+        rows = oracle.rand_code_rows(rng, n, k)
+        code = oracle.to_code(rows)
+        want = oracle.owenum(rows, n)
+        for parts in (1, 2, 3, 7, 20):
+            assert list(weight_enumerator(code, partitions=parts).coefficients) == want
+
+
+def test_bitsliced_blocks_match_the_walk():
+    # One partition per projective word leaves no chunk whole, so that
+    # count is walked word by word; the default one chunks the large
+    # blocks of these codes, past a machine word too.
+    rng = random.Random(48)
+    for n, k in ((5, 5), (13, 6), (40, 6), (70, 7), (130, 7)):
+        code = oracle.to_code(oracle.rand_code_rows(rng, n, k))
+        assert weight_enumerator(code) == weight_enumerator(code, partitions=10 ** 12), (n, k)
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         weight_enumerator(catalog.get("c5_2").code, partitions=0)
@@ -121,6 +149,56 @@ def test_budget_enforcement():
         weight_enumerator(identity_code(3), max_dim=2)
     # raising the cap unlocks the computation
     assert weight_enumerator(identity_code(3), max_dim=3).total() == 64
+
+
+def test_column_rule_on_keys_wider_than_a_machine_word():
+    # 40 rows take 16-byte column keys, past the widths struct unpacks.
+    # Column 59 is omega times column 3, so they give the one weight-2
+    # dual word, and a budget of 40 lets the column rule settle it.
+    rng = random.Random(49)
+    rows = [list(r) for r in oracle.rand_code_rows(rng, 60, 40)]
+    for row in rows:
+        row[59] = (0, 2, 3, 1)[row[3]]
+    code = oracle.to_code(rows)
+    word = next(enumerator._short_dual_words(code))
+    assert [j for j in range(60) if word[j]] == [3, 59]
+    assert all(hermitian_inner(word, g) == 0 for g in code.rows)
+    assert dual_distance(code, max_dim=40) == 2
+
+
+def test_column_classes_fill_every_lane_width():
+    # Keys of k = 3, 7, 15 and 31 digits are the longest that leave the top
+    # bit of a 1-, 2-, 4- and 8-byte lane clear, as the lane-wise minimum
+    # needs, and one digit more takes the next width.  Columns are scaled
+    # copies of a few points whose last digit is 2 or 3, so the keys use
+    # their highest digit, and every word must pair a column with the
+    # first of its class, as the columns themselves say.
+    rng = random.Random(50)
+    for k in (3, 4, 7, 8, 15, 16, 31, 32, 33):
+        while True:
+            points = [oracle.rand_vec(rng, k - 1) + (rng.choice((2, 3)),) for _ in range(k)]
+            cols = [oracle.vscale(rng.randrange(1, 4), rng.choice(points)) for _ in range(3 * k)]
+            rows = [tuple(col[r] for col in cols) for r in range(k)]
+            if oracle.orank(rows) == k:
+                break
+        first, want = {}, []
+        for j, col in enumerate(cols):
+            lead = next(c for c in col if c)
+            i = first.setdefault(tuple(oracle.vscale(oracle.oinv(lead), col)), j)
+            if i != j:
+                want.append((i, j))
+        got = [tuple(j for j in range(3 * k) if word[j])
+               for word in enumerator._short_dual_words(oracle.to_code(rows))]
+        assert got == want, k
+
+
+def test_budget_is_checked_before_the_column_rule():
+    # Column 2 is zero, which alone settles d_dual = d = 1.
+    code = LinearCode([GF4Vector.from_digits("110")])
+    for call in (dual_distance, quantum_params):
+        with pytest.raises(BudgetExceededError, match="budget"):
+            call(code, max_dim=0)
+    assert dual_distance(code, max_dim=1) == quantum_params(code, max_dim=1).d == 1
 
 
 def test_negative_budget_is_rejected():

@@ -6,7 +6,7 @@ import pytest
 
 from gf4codes import (FormatError, GF4Vector, LinearCode, PreconditionError,
                       QuantumParams, catalog, double_even, double_odd,
-                      double_pair, parse_bounds_table, quantum_params)
+                      double_pair, dual_distance, parse_bounds_table, quantum_params)
 
 import oracle
 from test_doubling import shortened_so_pair
@@ -104,6 +104,17 @@ def test_distance_counts_dual_words_outside_the_code():
             assert not qp.degenerate
         else:
             assert qp.degenerate
+
+
+def test_weight_two_dual_words_inside_the_code():
+    # {(a, a)} plus c13_6_a: columns 0 and 1 are the only proportional pair,
+    # and the dual words they give, the multiples of (1, 1, 0, ..., 0), lie
+    # in the code.  So d_dual = 2 but d comes from the full enumeration.
+    rows = [GF4Vector.from_digits("11" + "0" * 13)]
+    rows += [GF4Vector.from_digits("00" + r.to_digits()) for r in catalog.get("c13_6_a").code.rows]
+    code = LinearCode(rows)
+    assert dual_distance(code) == 2
+    assert quantum_params(code) == QuantumParams(15, 1, 5, 2, False, False)
 
 
 # ---------------------------------------------------------------------------
