@@ -11,16 +11,23 @@ Row reduction and duals work on the (lo, hi) bitplanes of the rows, never
 coordinate by coordinate, through the bitplane helpers of `gf4`: a pivot
 is found from the lowest set bit of a row's support, and a row is
 eliminated with two XORs.  One insertion step, `_insert`, is the only
-elimination loop: `rref` runs it over all rows and back-substitutes,
-`LinearCode.from_rows` runs it forward to find the dependent rows in one
-pass, and `contains` runs it once against the reduced form.
+elimination loop: `rref` runs it over all rows and `_back_substitute`
+finishes the echelon, `LinearCode.from_rows` runs it forward to find the
+dependent rows and finishes that same echelon, and `contains` runs it once
+against the reduced form.
 
-Each code is reduced at most once, and often never.  A code whose rows
-each own a column, nonzero in that row alone, is independent by one OR/AND
-pass over the supports.  Every `dual()` basis owns its free columns, so
-a dual is never reduced to be built, and codes stacked from such rows,
-like the doubled codes, mostly pass too.  The reduced form is then
+Each code is reduced at most once, and often never.  A code built from
+given rows whose rows each own a column, nonzero in that row alone, is
+independent by one OR/AND pass over the supports, and codes stacked from
+such rows, like the doubled codes, mostly pass.  The reduced form is then
 computed on first use.
+
+A dual is never reduced to be built.  `dual()` knows the dual's k at once
+and builds its basis, one row per free column of the code's reduced form
+(`_dual_rows`), only when its rows are first read.  The doubling step
+needs one odd-weight dual row, and `_odd_dual_row` finds it without
+building the others: dual row f has odd weight exactly where the XOR of
+the reduced rows' supports has a 0 bit.
 
 The matrix text format converts whole rows at a time, through
 `GF4Vector.from_digits` and `GF4Vector.to_digits`.
@@ -32,8 +39,8 @@ import warnings
 from collections.abc import Iterable, Sequence
 
 from .errors import MatrixFormatError, PreconditionError
-from .gf4 import (GF4Vector, _entry, _multiples, _records, cyclic_shift,
-                  delete_coordinate, hermitian_inner, inv)
+from .gf4 import (GF4Vector, _entry, _multiples, _orthogonal, _records, cyclic_shift,
+                  delete_coordinate, inv)
 
 
 _DIGITS = ("0", "1", "2", "3")
@@ -62,27 +69,14 @@ def _insert(echelon: dict[int, tuple[tuple[int, int], ...]], lo: int, hi: int) -
     return False
 
 
-def rref(rows: Sequence[GF4Vector], n: int) -> tuple[tuple[int, ...], tuple[GF4Vector, ...]]:
-    """Reduced row echelon form with deterministic leftmost pivots.
+def _back_substitute(echelon: dict[int, tuple[tuple[int, int], ...]],
+                     n: int) -> tuple[tuple[int, ...], tuple[GF4Vector, ...]]:
+    """Finish an echelon of `_insert` as (pivot columns, reduced rows).
 
-    Returns (pivot columns, reduced nonzero rows).  Pivot entries are 1 and
-    are the only nonzero entries in their columns.  Every row must have
-    length n.
-
-    The reduction works on the rows' (lo, hi) bitplanes, never coordinate
-    by coordinate.  Each row is inserted in turn into the pivot rows found
-    so far (`_insert`), always eliminated at its lowest nonzero column.
-    Back-substitution from the last pivot then clears every pivot column
-    outside its own row.  Rows become vectors again only on return.
+    Back-substitution from the last pivot clears every pivot column
+    outside its own row; `echelon` is consumed.  Rows become vectors again
+    only on return.
     """
-    echelon: dict[int, tuple[tuple[int, int], ...]] = {}
-    # The reduced form depends only on the row space, not on the order of
-    # the rows.  Last first suits the bases dual() builds, one row per free
-    # column in ascending order: each row then stops at its own free column
-    # after at most one elimination per pivot of the primal code, instead
-    # of picking up the free columns of the rows before it.
-    for row in reversed(rows):
-        _insert(echelon, row.lo, row.hi)
     bits = sorted(echelon)
     pivot_mask = sum(bits)  # distinct powers of two: the sum is their union
     # Rows with higher pivots are fully reduced first, so clearing one pivot
@@ -99,6 +93,56 @@ def rref(rows: Sequence[GF4Vector], n: int) -> tuple[tuple[int, ...], tuple[GF4V
         echelon[bit] = _multiples(lo, hi)
     return (tuple(b.bit_length() - 1 for b in bits),
             tuple(GF4Vector(n, *echelon[b][0]) for b in bits))
+
+
+def rref(rows: Sequence[GF4Vector], n: int) -> tuple[tuple[int, ...], tuple[GF4Vector, ...]]:
+    """Reduced row echelon form with deterministic leftmost pivots.
+
+    Returns (pivot columns, reduced nonzero rows).  Pivot entries are 1 and
+    are the only nonzero entries in their columns.  Every row must have
+    length n.
+
+    The reduction works on the rows' (lo, hi) bitplanes, never coordinate
+    by coordinate.  Each row is inserted in turn into the pivot rows found
+    so far (`_insert`), always eliminated at its lowest nonzero column,
+    and `_back_substitute` finishes the echelon.
+    """
+    echelon: dict[int, tuple[tuple[int, int], ...]] = {}
+    # The reduced form depends only on the row space, not on the order of
+    # the rows.  Last first suits the bases dual() builds, one row per free
+    # column in ascending order: each row then stops at its own free column
+    # after at most one elimination per pivot of the primal code, instead
+    # of picking up the free columns of the rows before it.
+    for row in reversed(rows):
+        _insert(echelon, row.lo, row.hi)
+    return _back_substitute(echelon, n)
+
+
+def _dual_rows(n: int, reduced: tuple[tuple[int, ...], tuple[GF4Vector, ...]],
+               columns: int) -> list[GF4Vector]:
+    """The hermitian dual's basis rows for the free columns set in `columns`.
+
+    `reduced` is a code's (pivot columns, reduced rows).  The dual is the
+    kernel of the conjugated generator matrix, whose reduced form is the
+    conjugate of the code's own, with the same pivots: conjugation is a
+    field automorphism fixing 0 and 1.  The row of free column f is 1 at f
+    and, at the pivot of each reduced row r, conj(r[f]); characteristic 2
+    leaves no sign.  Rows come in ascending order of their free columns.
+    """
+    pivots, rrows = reduced
+    conjugated = [(1 << p, r.lo ^ r.hi, r.hi) for p, r in zip(pivots, rrows)]
+    rows = []
+    while columns:
+        bit = columns & -columns
+        columns ^= bit
+        lo, hi = bit, 0
+        for pbit, rlo, rhi in conjugated:
+            if rlo & bit:
+                lo |= pbit
+            if rhi & bit:
+                hi |= pbit
+        rows.append(GF4Vector(n, lo, hi))
+    return rows
 
 
 def _owns_columns(rows: Sequence[GF4Vector]) -> bool:
@@ -125,18 +169,24 @@ class LinearCode:
 
     Independence of the rows is proved at construction, by the cheapest
     means that works.  When every row owns a column, where no other row is
-    nonzero, one pass over the bitplanes proves it; every `dual()` basis
-    passes this test.  Otherwise the rows are reduced, and dependent rows
-    raise ValueError.  The reduced row echelon form, used by `contains`,
-    `same_row_space` and `dual`, is computed at most once: at construction
-    when the proof needed it, else on first use.  The dual and the
-    self-orthogonality test are likewise computed once per instance.
+    nonzero, one pass over the bitplanes proves it.  Otherwise the rows are
+    reduced, and dependent rows raise ValueError.  `from_rows` has found
+    the dependent rows by half a reduction already, and finishes it.  The
+    reduced row echelon form, used by `contains`, `same_row_space` and
+    `dual`, is computed at most once: at construction when the proof
+    needed it, else on first use.  The dual and the self-orthogonality
+    test are likewise computed once per instance.
+
+    A `dual()` code knows its k at once; its `rows`, one per free column
+    of the primal, are built on first read from the primal's reduced form,
+    which it holds instead of the primal itself.
 
     The zero code (k = 0) is representable by passing no rows and an
     explicit length; `from_rows` itself requires at least one row.
     """
 
-    __slots__ = ("n", "rows", "dropped_rows", "_reduced_form", "_dual", "_self_orthogonal")
+    __slots__ = ("n", "k", "_rows", "dropped_rows", "_reduced_form", "_basis_of", "_dual",
+                 "_self_orthogonal", "__weakref__")
 
     def __init__(self, rows: Sequence[GF4Vector], n: int | None = None,
                  dropped_rows: tuple[int, ...] = ()) -> None:
@@ -150,20 +200,39 @@ class LinearCode:
         for row in rows:
             if row.n != n:
                 raise ValueError("rows have mixed lengths")
+        reduced = None
+        if not _owns_columns(rows):
+            reduced = rref(rows, n)
+            if len(reduced[0]) != len(rows):
+                raise ValueError("generator rows are linearly dependent")
+        self._fill(n, len(rows), rows, dropped_rows, reduced, None)
+
+    def _fill(self, n: int, k: int, rows: tuple[GF4Vector, ...] | None,
+              dropped_rows: tuple[int, ...],
+              reduced: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None,
+              basis_of: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None) -> None:
+        """Set every slot.  With `rows` None, `basis_of` is the reduced form
+        of the code whose hermitian dual this is, and the rows wait for it."""
         self.n = n
-        self.rows = rows
+        self.k = k
+        self._rows = rows
         self.dropped_rows = dropped_rows
-        self._reduced_form: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None = None
+        self._reduced_form = reduced
+        self._basis_of = basis_of
         self._dual: LinearCode | None = None
         self._self_orthogonal: bool | None = None
-        if not _owns_columns(rows):
-            self._reduced_form = rref(rows, n)
-            if len(self._reduced_form[0]) != len(rows):
-                raise ValueError("generator rows are linearly dependent")
 
     @property
-    def k(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[GF4Vector, ...]:
+        """The generator rows; a dual's are built here on first read."""
+        rows = self._rows
+        if rows is None:
+            n = self.n
+            basis_of = self._basis_of
+            pivot_mask = sum(1 << p for p in basis_of[0])
+            rows = self._rows = tuple(_dual_rows(n, basis_of, ((1 << n) - 1) ^ pivot_mask))
+            self._basis_of = None
+        return rows
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}])"
@@ -183,7 +252,8 @@ class LinearCode:
         One forward pass inserts each row into the pivot rows of the rows
         kept before it; a row that adds no pivot is dependent on them.
         Dependent rows are dropped with a warning; their input indices are
-        recorded in `dropped_rows` on the result.
+        recorded in `dropped_rows` on the result.  The pass is the first
+        half of `rref`, so the code's reduced form is finished from it.
         """
         given = list(rows)
         if not given:
@@ -205,7 +275,9 @@ class LinearCode:
                 f"dropped {len(dropped)} dependent generator row(s) at indices {dropped}",
                 stacklevel=2,
             )
-        return cls(kept, n=n, dropped_rows=tuple(dropped))
+        code = cls.__new__(cls)
+        code._fill(n, len(kept), tuple(kept), tuple(dropped), _back_substitute(echelon, n), None)
+        return code
 
     def _reduced(self) -> tuple[tuple[int, ...], tuple[GF4Vector, ...]]:
         """(pivot columns, reduced rows) of the row space, computed once."""
@@ -229,34 +301,35 @@ class LinearCode:
 
         v is orthogonal to every codeword iff the conjugated generator
         matrix sends v to zero, so the dual is the kernel of that matrix,
-        extracted from its reduced form with free columns in ascending
-        order.  Conjugation is a field automorphism fixing 0 and 1, so that
-        reduced form is the conjugate of the code's own, with the same
-        pivots.  Each basis row owns its free column, so the dual's
-        construction proves independence without a reduction.
+        one basis row per free column of the code's reduced form
+        (`_dual_rows`).  The dual's k is n - k at once; its rows are built
+        when first read.  Each basis row owns its free column, so the rows
+        are independent without a reduction.
         """
         if self._dual is None:
-            n = self.n
-            pivots, rrows = self._reduced()
-            reduced = [(1 << p, c.lo, c.hi)
-                       for p, c in zip(pivots, map(GF4Vector.conjugate, rrows))]
-            pivot_set = set(pivots)
-            basis = []
-            for f in range(n):
-                if f in pivot_set:
-                    continue
-                bit = 1 << f
-                lo, hi = bit, 0
-                # Characteristic 2: each reduced row's entry at f copies
-                # over to its pivot position without sign.
-                for pbit, rlo, rhi in reduced:
-                    if rlo & bit:
-                        lo |= pbit
-                    if rhi & bit:
-                        hi |= pbit
-                basis.append(GF4Vector(n, lo, hi))
-            self._dual = LinearCode(basis, n=n)
+            dual = LinearCode.__new__(LinearCode)
+            dual._fill(self.n, self.n - self.k, None, (), None, self._reduced())
+            self._dual = dual
         return self._dual
+
+    def _odd_dual_row(self) -> GF4Vector | None:
+        """The first odd-weight row of the dual basis, built alone, or None.
+
+        Dual row f has weight 1 plus the number of reduced rows nonzero at
+        f, so it is odd exactly where the XOR of the reduced rows' supports
+        has a 0 bit.  Each pivot column has a 1 bit there, being nonzero in
+        its own row alone, so the lowest 0 bit is the first odd row's free
+        column.
+        """
+        n = self.n
+        reduced = self._reduced()
+        parity = 0
+        for row in reduced[1]:
+            parity ^= row.lo | row.hi
+        odd = ((1 << n) - 1) ^ parity
+        if not odd:
+            return None
+        return _dual_rows(n, reduced, odd & -odd)[0]
 
     def is_hermitian_self_orthogonal(self) -> bool:
         """True iff every pair of generator rows has hermitian product 0.
@@ -264,9 +337,9 @@ class LinearCode:
         Computed once per instance.
         """
         if self._self_orthogonal is None:
-            rows = self.rows
+            planes = [(row.lo, row.hi) for row in self.rows]
             self._self_orthogonal = all(
-                hermitian_inner(x, y) == 0 for i, x in enumerate(rows) for y in rows[i:])
+                _orthogonal(lo, hi, planes[i:]) for i, (lo, hi) in enumerate(planes))
         return self._self_orthogonal
 
     def is_trace_self_orthogonal(self) -> bool:

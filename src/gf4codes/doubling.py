@@ -34,7 +34,7 @@ from functools import cached_property
 from .codes import LinearCode
 from .enumerator import DEFAULT_MAX_DIM, dual_distance
 from .errors import PreconditionError
-from .gf4 import GF4Vector, concat, hermitian_inner
+from .gf4 import GF4Vector, _orthogonal, concat, hermitian_inner
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,8 @@ class OddDualVector:
         if weight % 2 == 0:
             raise PreconditionError(
                 f"vector has even weight {weight}; an odd weight is required")
-        for g in code.rows:
-            if hermitian_inner(vector, g) != 0:
-                raise PreconditionError(
-                    "vector is not in the hermitian dual of the code")
+        if not _orthogonal(vector.lo, vector.hi, [(g.lo, g.hi) for g in code.rows]):
+            raise PreconditionError("vector is not in the hermitian dual of the code")
         return cls(vector, weight)
 
 
@@ -125,7 +123,9 @@ def find_odd_dual_vector(code: LinearCode) -> OddDualVector | None:
 
     The all-one vector is preferred when it qualifies.  Otherwise, as
     wt(v) = <v, v> (mod 2), the first odd-weight row y_i of the dual basis
-    is taken, and failing that y_i + c*y_j for the first pair i < j with
+    is taken, found from a parity mask of the code's reduced rows and
+    built alone (`LinearCode._odd_dual_row`).  Failing that, the basis is
+    built and y_i + c*y_j is taken for the first pair i < j with
     <y_i, y_j> != 0.  For even rows wt(y_i + c*y_j) = Tr(conj(c) <y_i, y_j>)
     (mod 2), which is odd for two of the three nonzero c; the first of
     1, omega, omega**2 that gives an odd weight is used.  When no pair
@@ -134,13 +134,13 @@ def find_odd_dual_vector(code: LinearCode) -> OddDualVector | None:
     self-dual.
     """
     n = code.n
-    ones = GF4Vector(n, lo=(1 << n) - 1)
-    if n % 2 == 1 and all(hermitian_inner(ones, g) == 0 for g in code.rows):
-        return OddDualVector(ones, n)
+    ones = (1 << n) - 1
+    if n % 2 == 1 and _orthogonal(ones, 0, [(g.lo, g.hi) for g in code.rows]):
+        return OddDualVector(GF4Vector(n, ones), n)
+    y = code._odd_dual_row()
+    if y is not None:
+        return OddDualVector(y, y.weight())
     ys = code.dual().rows
-    for y in ys:
-        if y.weight() % 2 == 1:
-            return OddDualVector(y, y.weight())
     for i, yi in enumerate(ys):
         for yj in ys[i + 1:]:
             if hermitian_inner(yi, yj) != 0:

@@ -216,6 +216,17 @@ def hermitian_inner(x: GF4Vector, y: GF4Vector) -> int:
     return (omega_part << 1) | _parity((x.hi & y.hi) ^ (x.lo & (y.lo ^ y.hi)))
 
 
+def _orthogonal(lo: int, hi: int, planes: Iterable[tuple[int, int]]) -> bool:
+    """True iff the bitplanes (lo, hi) have hermitian product 0 with every
+    (lo, hi) pair in `planes`; the formulas of `hermitian_inner`, without
+    its vectors or its length check."""
+    for ylo, yhi in planes:
+        if ((hi & ylo) ^ (lo & yhi)).bit_count() & 1 or \
+                ((hi & yhi) ^ (lo & (ylo ^ yhi))).bit_count() & 1:
+            return False
+    return True
+
+
 def trace_inner(x: GF4Vector, y: GF4Vector) -> int:
     """Trace inner product Tr(sum_i x_i * y_i**2), a GF(2) element."""
     return trace(hermitian_inner(x, y))

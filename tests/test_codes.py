@@ -1,15 +1,17 @@
 """Code construction, duals, predicates, shortening, matrix text format."""
 
+import gc
 import random
 import warnings
+import weakref
 from collections import Counter
 from itertools import product
 
 import pytest
 
 from gf4codes import (GF4Vector, LinearCode, MatrixFormatError, append,
-                      circulant, emit_matrix, hermitian_inner, parse_matrix,
-                      rref)
+                      circulant, emit_matrix, find_odd_dual_vector, hermitian_inner,
+                      parse_matrix, rref)
 
 import oracle
 
@@ -578,3 +580,113 @@ def test_dual_reduces_only_the_codes_own_rows(monkeypatch):
         # The dual's own reduced form is made when first needed.
         assert dual.contains(dual.rows[-1])
         assert calls[-1] == n - k
+
+
+# ---------------------------------------------------------------------------
+# the lazy dual basis and the parity-mask odd row
+# ---------------------------------------------------------------------------
+
+def test_dual_rows_match_the_oracle_basis_for_every_k():
+    rng = random.Random(37)
+    for n in range(13):
+        for k in range(n + 1):
+            rows = oracle.rand_code_rows(rng, n, k)
+            code = oracle.to_code(rows, n=n)
+            dual = code.dual()
+            assert (dual.n, dual.k) == (n, n - k)
+            assert [h.coords() for h in dual.rows] == oracle.odual_basis(rows, n), rows
+            found = find_odd_dual_vector(code)
+            got = None if found is None else found.vector.coords()
+            assert got == oracle.ofind_odd_dual(rows, n), rows
+
+
+def test_dual_k_and_the_odd_row_build_no_basis(monkeypatch):
+    from gf4codes import codes
+    real = codes._dual_rows
+
+    def refuse(n, reduced, columns):
+        raise AssertionError("a dual row was built")
+
+    def one_row_only(n, reduced, columns):
+        if columns & (columns - 1):
+            raise AssertionError("more than one dual row was built")
+        return real(n, reduced, columns)
+
+    rng = random.Random(38)
+    odd_rows = 0
+    for _ in range(40):
+        n = rng.randrange(2, 30, 2)  # even n: the all-one vector never qualifies
+        k = rng.randrange(0, n)
+        rows = oracle.rand_code_rows(rng, n, k)
+        basis = oracle.odual_basis(rows, n)
+        first_odd = next((y for y in basis if oracle.wt(y) % 2 == 1), None)
+        monkeypatch.setattr(codes, "_dual_rows", refuse)
+        assert oracle.to_code(rows, n=n).dual().k == n - k
+        if first_odd is None:
+            continue
+        monkeypatch.setattr(codes, "_dual_rows", one_row_only)
+        found = find_odd_dual_vector(oracle.to_code(rows, n=n))
+        assert found.vector.coords() == first_odd
+        odd_rows += 1
+    assert odd_rows >= 20
+
+
+def test_lazy_dual_agrees_with_a_code_built_from_its_rows():
+    rng = random.Random(39)
+    for n, k in ((1, 0), (3, 3), (5, 2), (8, 4), (12, 1), (40, 6)):
+        rows = oracle.rand_code_rows(rng, n, k)
+
+        def lazy():
+            # A fresh primal each time, so every call reads an unbuilt dual.
+            return oracle.to_code(rows, n=n).dual()
+
+        eager = LinearCode(lazy().rows, n=n)
+        assert lazy() == eager and eager == lazy()
+        assert hash(lazy()) == hash(eager)
+        assert repr(lazy()) == repr(eager) == f"LinearCode([{n},{n - k}])"
+        probes = [GF4Vector.from_coords(oracle.rand_vec(rng, n)) for _ in range(10)]
+        probes += eager.rows
+        for v in probes:
+            assert lazy().contains(v) == eager.contains(v)
+        assert lazy().same_row_space(eager) and eager.same_row_space(lazy())
+        assert emit_matrix(lazy()) == emit_matrix(eager)
+        if eager.k:
+            assert parse_matrix(emit_matrix(lazy())) == eager
+        assert lazy().dual() == eager.dual()
+        assert lazy().dual().same_row_space(oracle.to_code(rows, n=n))
+
+
+def test_dual_keeps_no_reference_to_its_code():
+    rng = random.Random(40)
+    rows = oracle.rand_code_rows(rng, 20, 5)
+    gc.disable()
+    try:
+        code = oracle.to_code(rows)
+        dual = code.dual()
+        ref = weakref.ref(code)
+        del code
+        # Only reference counting runs: a cycle would keep the code alive.
+        assert ref() is None
+        assert [h.coords() for h in dual.rows] == oracle.odual_basis(rows, 20)
+    finally:
+        gc.enable()
+
+
+def test_from_rows_finishes_its_own_reduction(monkeypatch):
+    from gf4codes import codes
+    calls = []
+    real = codes.rref
+    monkeypatch.setattr(codes, "rref", lambda rows, n: calls.append(n) or real(rows, n))
+    rng = random.Random(42)
+    for _ in range(30):
+        n = rng.randrange(1, 40)
+        rows = oracle.rand_code_rows(rng, n, rng.randrange(1, min(n, 8) + 1))
+        rows.append(oracle.vadd(rows[0], rows[-1]))
+        rng.shuffle(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = LinearCode.from_rows([GF4Vector.from_coords(r) for r in rows])
+        reduced = code._reduced()
+        assert not calls
+        assert reduced == real(code.rows, n)
+        assert [tuple(r.coords()) for r in reduced[1]] == list(oracle.orref(rows, n)[1])

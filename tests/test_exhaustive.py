@@ -17,7 +17,8 @@ from gf4codes import (LinearCode, dual_distance, find_odd_dual_vector, macwillia
 import oracle
 
 # n -> how many codes of length n take each step of find_odd_dual_vector.
-# The step counts sum to the number of codes, 1, 2, 7, 44 and 529.
+# The step counts sum to the number of codes, 1, 2, 7, 44 and 529.  A
+# "pair" code has only even dual basis rows, so no parity-mask row.
 STEPS = {
     0: {"none": 1},
     1: {"allones": 1, "none": 1},
@@ -54,6 +55,8 @@ def test_every_code_of_length_n_matches_the_oracle(n):
 
         dual = code.dual()
         assert dual.k == n - k
+        # The basis itself, row for row and in order, not only its span.
+        assert [r.coords() for r in dual.rows] == oracle.odual_basis(rows, n)
         assert set(oracle.ospan([r.coords() for r in dual.rows], n)) == set(dual_words)
 
         for p in range(n):

@@ -9,6 +9,7 @@ from gf4codes import (CONJ, ELEMENTS, MUL, OMEGA, OMEGA_SQ, GF4Vector, add,
                       append, concat, conj, coordinate_sum, cyclic_shift,
                       delete_coordinate, hermitian_inner, inv, mul, trace,
                       trace_inner)
+from gf4codes.gf4 import _orthogonal
 
 import oracle
 
@@ -225,6 +226,21 @@ def test_hermitian_inner_matches_naive():
     for m, n in ((3, 4), (0, 1), (65, 64)):
         with pytest.raises(ValueError):
             hermitian_inner(GF4Vector(m), GF4Vector(n))
+
+
+def test_orthogonal_planes_match_hermitian_inner():
+    rng = random.Random(71)
+    cases = [(x, [y]) for x, _, y, _ in edge_pairs(rng)]
+    for _ in range(300):
+        n = rng.randrange(0, 70)
+        cases.append((rand_vector(rng, n)[0],
+                      [rand_vector(rng, n)[0] for _ in range(rng.randrange(0, 3))]))
+    outcomes = set()
+    for x, ys in cases:
+        want = all(hermitian_inner(x, y) == 0 for y in ys)
+        assert _orthogonal(x.lo, x.hi, [(y.lo, y.hi) for y in ys]) == want
+        outcomes.add((len(ys), want))
+    assert {(1, True), (1, False), (2, True), (2, False), (0, True)} <= outcomes
 
 
 def test_hermitian_inner_sesquilinear():
