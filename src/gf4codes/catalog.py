@@ -12,31 +12,35 @@ Digits follow the package encoding: 2 = omega, 3 = omega**2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .codes import LinearCode, circulant
 from .enumerator import macwilliams, min_distance, weight_enumerator
-from .errors import CatalogKeyError, ConsistencyError
+from .errors import CatalogKeyError, ConsistencyError, _Record
 from .gf4 import GF4Vector, append, coordinate_sum
 
 
-@dataclass(frozen=True)
-class Expected:
+class Expected(_Record):
     """Parameters an entry must exhibit at load time."""
 
-    n: int
-    k: int
-    d: int
-    dual_distance: int
-    self_dual: bool = False
+    __slots__ = ("n", "k", "d", "dual_distance", "self_dual")
+
+    def __init__(self, n: int, k: int, d: int, dual_distance: int,
+                 self_dual: bool = False) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "dual_distance", dual_distance)
+        object.__setattr__(self, "self_dual", self_dual)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    code: LinearCode
-    provenance: str
-    expected: Expected
+class CatalogEntry(_Record):
+    __slots__ = ("name", "code", "provenance", "expected")
+
+    def __init__(self, name: str, code: LinearCode, provenance: str,
+                 expected: Expected) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "expected", expected)
 
 
 def _rows(*digit_rows: str) -> list[GF4Vector]:

@@ -28,21 +28,22 @@ exists exactly when the dual is self-orthogonal.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .codes import LinearCode
 from .enumerator import DEFAULT_MAX_DIM, dual_distance
-from .errors import PreconditionError
+from .errors import PreconditionError, _Record
 from .gf4 import GF4Vector, _orthogonal, concat, hermitian_inner
 
 
-@dataclass(frozen=True)
-class OddDualVector:
+class OddDualVector(_Record):
     """An odd-weight vector in the hermitian dual of some code."""
 
-    vector: GF4Vector
-    weight: int
+    __slots__ = ("vector", "weight")
+
+    def __init__(self, vector: GF4Vector, weight: int) -> None:
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "weight", weight)
 
     @classmethod
     def for_code(cls, code: LinearCode, vector: GF4Vector) -> "OddDualVector":

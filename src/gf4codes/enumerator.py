@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceededError, ConsistencyError, FormatError
+from .errors import BudgetExceededError, ConsistencyError, FormatError, _Record
 from .gf4 import GF4Vector, _multiples, _records, conj
 
 if TYPE_CHECKING:
@@ -51,11 +50,13 @@ if TYPE_CHECKING:
 DEFAULT_MAX_DIM = 16
 
 
-@dataclass(frozen=True)
-class WeightEnumerator:
+class WeightEnumerator(_Record):
     """Exact coefficients A_0..A_n counting codewords by weight."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def n(self) -> int:

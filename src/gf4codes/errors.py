@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the immutable records, shared across
+the package."""
 
 from __future__ import annotations
 
@@ -39,3 +40,47 @@ class ConsistencyError(GF4CodesError, ArithmeticError):
 
 class CatalogKeyError(GF4CodesError, LookupError):
     """Raised when a catalog lookup names no known entry."""
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields, in order, as `__slots__`, and its
+    `__init__` stores each with `object.__setattr__`.  The base supplies
+    the rest from that order: `repr` as ``Name(field=value, ...)``, ``==``
+    and `hash` on the tuple of field values (``==`` only between instances
+    of one class), positional pattern matching, pickling and copying
+    through the constructor, and refusal of any attribute assignment or
+    deletion.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ += tuple(cls.__dict__.get("__slots__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()

@@ -20,17 +20,14 @@ with d-dual >= 3, takes the full path, with its containment check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .codes import LinearCode
 from .enumerator import (DEFAULT_MAX_DIM, _check_budget, _short_dual_words, macwilliams,
                          min_distance, weight_enumerator)
-from .errors import ConsistencyError, FormatError, PreconditionError
+from .errors import ConsistencyError, FormatError, PreconditionError, _Record
 from .gf4 import _records
 
 
-@dataclass(frozen=True)
-class QuantumParams:
+class QuantumParams(_Record):
     """Derived [[n, k, d]] parameters, the dual distance, and purity.
 
     `pure` is d == d_dual.  `degenerate` marks the self-dual input case
@@ -38,12 +35,16 @@ class QuantumParams:
     reported as the minimum distance of C itself.
     """
 
-    n: int
-    k: int
-    d: int
-    d_dual: int
-    pure: bool
-    degenerate: bool
+    __slots__ = ("n", "k", "d", "d_dual", "pure", "degenerate")
+
+    def __init__(self, n: int, k: int, d: int, d_dual: int, pure: bool,
+                 degenerate: bool) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d_dual", d_dual)
+        object.__setattr__(self, "pure", pure)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 def quantum_params(code: LinearCode, *, max_dim: int = DEFAULT_MAX_DIM) -> QuantumParams:
