@@ -86,10 +86,12 @@ def test_equality_and_hash(record, values, text):
     # A plain tuple of the same fields is not equal, either way round.
     assert record != values and values != record
     assert record.__eq__(values) is NotImplemented
-    # Nor is an instance of a subclass with the same fields.
+    # Nor is an instance of a subclass, which inherits the same fields.
     sub = type("Sub", (cls,), {"__slots__": ()})(*values)
     assert sub != record and record != sub
     assert record.__eq__(sub) is NotImplemented
+    assert repr(sub) == "Sub" + text[len(cls.__name__):]
+    assert sub == type(sub)(*values) and hash(sub) == hash(values)
 
 
 def test_records_of_different_types_are_never_equal():
