@@ -13,14 +13,16 @@ is found from the lowest set bit of a row's support, and a row is
 eliminated with two XORs.  One insertion step, `_insert`, is the only
 elimination loop: `rref` runs it over all rows and `_back_substitute`
 finishes the echelon, `LinearCode.from_rows` runs it forward to find the
-dependent rows and finishes that same echelon, and `contains` runs it once
-against the reduced form.
+dependent rows and keeps that echelon, and `contains` runs it once against
+a kept echelon.
 
 Each code is reduced at most once, and often never.  A code built from
 given rows whose rows each own a column, nonzero in that row alone, is
 independent by one OR/AND pass over the supports, and codes stacked from
 such rows, like the doubled codes, mostly pass.  The reduced form is then
-computed on first use.
+computed on first use.  `from_rows` back-substitutes its echelon only when
+the reduced form is first read, so a parsed code that is only doubled is
+never reduced.
 
 A dual is never reduced to be built.  `dual()` knows the dual's k at once
 and builds its basis, one row per free column of the code's reduced form
@@ -29,8 +31,10 @@ needs one odd-weight dual row, and `_odd_dual_row` finds it without
 building the others: dual row f has odd weight exactly where the XOR of
 the reduced rows' supports has a 0 bit.
 
-The matrix text format converts whole rows at a time, through
-`GF4Vector.from_digits` and `GF4Vector.to_digits`.
+The matrix text format converts a whole matrix at a time: its rows laid
+end to end are one vector, written by one `GF4Vector.to_digits` call and,
+in the layout `emit_matrix` writes, read by one `GF4Vector.from_digits`
+call.  Any other layout is read line by line.
 """
 
 from __future__ import annotations
@@ -39,34 +43,37 @@ import warnings
 from collections.abc import Iterable, Sequence
 
 from .errors import MatrixFormatError, PreconditionError
-from .gf4 import (GF4Vector, _entry, _multiples, _orthogonal, _records, cyclic_shift,
+from .gf4 import (GF4Vector, _multiples, _orthogonal, _records, _stacked, cyclic_shift,
                   delete_coordinate, inv)
 
 
 _DIGITS = ("0", "1", "2", "3")
 
 
-def _insert(echelon: dict[int, tuple[tuple[int, int], ...]], lo: int, hi: int) -> bool:
-    """Reduce the row (lo, hi) against `echelon`; True if it adds a pivot.
+def _insert(echelon: dict[int, tuple[tuple[int, int], ...]], lo: int, hi: int) -> int:
+    """Reduce the row (lo, hi) against `echelon`; the pivot bit it adds, or 0.
 
     `echelon` maps each pivot bit to the _multiples of its row, which is 1
     at that bit and zero at every lower one.  The row is eliminated at its
     lowest set bit, one dict lookup and two XORs against the multiple of
-    the pivot row that cancels the entry, until it is zero or reaches a
+    the pivot row that cancels the entry c, until it is zero or reaches a
     bit without a pivot row; there it is scaled to 1 and becomes that
-    bit's pivot row.
+    bit's pivot row.  The multiples of x/c are those of x rotated: with
+    1/c = omega**e they start at omega**e * x.
     """
     while lo | hi:
         bit = (lo | hi) & -(lo | hi)
-        c = _entry(lo, hi, bit)
+        c = (1 if lo & bit else 0) | (2 if hi & bit else 0)
         pivot_row = echelon.get(bit)
         if pivot_row is None:
-            echelon[bit] = _multiples(*_multiples(lo, hi)[inv(c) - 1])
-            return True
+            multiples = _multiples(lo, hi)
+            e = (4 - c) % 3
+            echelon[bit] = multiples[e:] + multiples[:e]
+            return bit
         mlo, mhi = pivot_row[c - 1]
         lo ^= mlo
         hi ^= mhi
-    return False
+    return 0
 
 
 def _back_substitute(echelon: dict[int, tuple[tuple[int, int], ...]],
@@ -74,8 +81,9 @@ def _back_substitute(echelon: dict[int, tuple[tuple[int, int], ...]],
     """Finish an echelon of `_insert` as (pivot columns, reduced rows).
 
     Back-substitution from the last pivot clears every pivot column
-    outside its own row; `echelon` is consumed.  Rows become vectors again
-    only on return.
+    outside its own row.  `echelon` is reduced in place and stays an
+    echelon, which `contains` may go on reducing against.  Rows become
+    vectors again only on return.
     """
     bits = sorted(echelon)
     pivot_mask = sum(bits)  # distinct powers of two: the sum is their union
@@ -87,7 +95,7 @@ def _back_substitute(echelon: dict[int, tuple[tuple[int, int], ...]],
         while rest:
             b = rest & -rest
             rest ^= b
-            mlo, mhi = echelon[b][_entry(lo, hi, b) - 1]
+            mlo, mhi = echelon[b][((1 if lo & b else 0) | (2 if hi & b else 0)) - 1]
             lo ^= mlo
             hi ^= mhi
         echelon[bit] = _multiples(lo, hi)
@@ -174,8 +182,12 @@ class LinearCode:
     the dependent rows by half a reduction already, and finishes it.  The
     reduced row echelon form, used by `contains`, `same_row_space` and
     `dual`, is computed at most once: at construction when the proof
-    needed it, else on first use.  The dual and the self-orthogonality
-    test are likewise computed once per instance.
+    needed it, else on first use: `from_rows` keeps the echelon of its
+    forward pass, which `contains` reduces against as it stands and the
+    first read of the reduced form back-substitutes.  Otherwise `contains`
+    builds its echelon once from the reduced form.  The dual and the
+    self-orthogonality test are likewise computed once per instance.
+    Pickling keeps only the rows, n and `dropped_rows`.
 
     A `dual()` code knows its k at once; its `rows`, one per free column
     of the primal, are built on first read from the primal's reduced form,
@@ -185,8 +197,8 @@ class LinearCode:
     explicit length; `from_rows` itself requires at least one row.
     """
 
-    __slots__ = ("n", "k", "_rows", "dropped_rows", "_reduced_form", "_basis_of", "_dual",
-                 "_self_orthogonal", "__weakref__")
+    __slots__ = ("n", "k", "_rows", "dropped_rows", "_echelon", "_reduced_form", "_basis_of",
+                 "_dual", "_self_orthogonal", "__weakref__")
 
     def __init__(self, rows: Sequence[GF4Vector], n: int | None = None,
                  dropped_rows: tuple[int, ...] = ()) -> None:
@@ -205,18 +217,22 @@ class LinearCode:
             reduced = rref(rows, n)
             if len(reduced[0]) != len(rows):
                 raise ValueError("generator rows are linearly dependent")
-        self._fill(n, len(rows), rows, dropped_rows, reduced, None)
+        self._fill(n, len(rows), rows, dropped_rows, reduced, None, None)
 
     def _fill(self, n: int, k: int, rows: tuple[GF4Vector, ...] | None,
               dropped_rows: tuple[int, ...],
               reduced: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None,
-              basis_of: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None) -> None:
+              basis_of: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None,
+              echelon: dict[int, tuple[tuple[int, int], ...]] | None) -> None:
         """Set every slot.  With `rows` None, `basis_of` is the reduced form
-        of the code whose hermitian dual this is, and the rows wait for it."""
+        of the code whose hermitian dual this is, and the rows wait for it.
+        `echelon`, an echelon of `_insert` for the rows, is kept for
+        `contains` and back-substituted when the reduced form is read."""
         self.n = n
         self.k = k
         self._rows = rows
         self.dropped_rows = dropped_rows
+        self._echelon = echelon
         self._reduced_form = reduced
         self._basis_of = basis_of
         self._dual: LinearCode | None = None
@@ -245,6 +261,10 @@ class LinearCode:
     def __hash__(self) -> int:
         return hash((self.n, self.rows))
 
+    def __reduce__(self) -> tuple:
+        # Rebuilt from its rows, so no cached form is pickled.
+        return self.__class__, (self.rows, self.n, self.dropped_rows)
+
     @classmethod
     def from_rows(cls, rows: Iterable[GF4Vector]) -> "LinearCode":
         """Build a code from generator rows, dropping dependent ones.
@@ -253,7 +273,10 @@ class LinearCode:
         kept before it; a row that adds no pivot is dependent on them.
         Dependent rows are dropped with a warning; their input indices are
         recorded in `dropped_rows` on the result.  The pass is the first
-        half of `rref`, so the code's reduced form is finished from it.
+        half of `rref`, and its echelon is kept: `contains` reduces against
+        it as it stands, and the first read of the reduced form finishes it
+        by back-substitution, so a code whose reduced form is never read
+        never pays for it.
         """
         given = list(rows)
         if not given:
@@ -276,21 +299,36 @@ class LinearCode:
                 stacklevel=2,
             )
         code = cls.__new__(cls)
-        code._fill(n, len(kept), tuple(kept), tuple(dropped), _back_substitute(echelon, n), None)
+        code._fill(n, len(kept), tuple(kept), tuple(dropped), None, None, echelon)
         return code
 
     def _reduced(self) -> tuple[tuple[int, ...], tuple[GF4Vector, ...]]:
-        """(pivot columns, reduced rows) of the row space, computed once."""
+        """(pivot columns, reduced rows) of the row space, computed once:
+        back-substituted from the kept echelon if there is one, else by
+        `rref`."""
         if self._reduced_form is None:
-            self._reduced_form = rref(self.rows, self.n)
+            echelon = self._echelon
+            self._reduced_form = (rref(self.rows, self.n) if echelon is None
+                                  else _back_substitute(echelon, self.n))
         return self._reduced_form
 
     def contains(self, v: GF4Vector) -> bool:
-        """Membership of v in the row span: v reduces to zero by `_insert`."""
+        """Membership of v in the row span: v reduces to zero by `_insert`.
+
+        The echelon reduced against is kept between calls: the one
+        `from_rows` left, or else one built once from the reduced form.  A
+        v outside the span adds a pivot row, which is taken out again.
+        """
         if v.n != self.n:
             raise ValueError("length mismatch")
-        echelon = {1 << p: _multiples(row.lo, row.hi) for p, row in zip(*self._reduced())}
-        return not _insert(echelon, v.lo, v.hi)
+        echelon = self._echelon
+        if echelon is None:
+            echelon = self._echelon = {1 << p: _multiples(row.lo, row.hi)
+                                       for p, row in zip(*self._reduced())}
+        bit = _insert(echelon, v.lo, v.hi)
+        if bit:
+            del echelon[bit]
+        return not bit
 
     def same_row_space(self, other: "LinearCode") -> bool:
         """Equality as codes, decided on canonical reduced forms."""
@@ -308,7 +346,7 @@ class LinearCode:
         """
         if self._dual is None:
             dual = LinearCode.__new__(LinearCode)
-            dual._fill(self.n, self.n - self.k, None, (), None, self._reduced())
+            dual._fill(self.n, self.n - self.k, None, (), None, self._reduced(), None)
             self._dual = dual
         return self._dual
 
@@ -404,49 +442,85 @@ def parse_matrix(text: str) -> LinearCode:
     digits from {0,1,2,3} with 2 = omega and 3 = omega**2.  Lines starting
     with ``#`` and blank lines are skipped.  A header ``n 0`` with no rows
     is the zero code of length n.
+
+    Rows in the layout `emit_matrix` writes, exactly k of them with n
+    digits one space apart, are read together by `_canonical_rows`; any
+    other rows, and every error, are read line by line.
     """
-    header: tuple[int, int] | None = None
-    rows: list[GF4Vector] = []
-    for lineno, line in _records(text):
+    records = _records(text)
+    for lineno, line in records:
         tokens = line.split()
-        if header is None:
-            if len(tokens) != 2:
-                raise MatrixFormatError(f"line {lineno}: expected header 'n k'")
-            try:
-                n, k = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise MatrixFormatError(f"line {lineno}: expected header 'n k'") from None
-            if not 0 <= k <= n:
-                raise MatrixFormatError(f"line {lineno}: header requires 0 <= k <= n")
-            header = (n, k)
-            continue
-        n, k = header
-        if len(rows) == k:
-            raise MatrixFormatError(f"line {lineno}: more than {k} rows")
-        if len(tokens) != n:
-            raise MatrixFormatError(
-                f"line {lineno}: expected {n} entries, found {len(tokens)}")
+        if len(tokens) != 2:
+            raise MatrixFormatError(f"line {lineno}: expected header 'n k'")
         try:
-            row = GF4Vector.from_digits("".join(tokens))
+            n, k = int(tokens[0]), int(tokens[1])
         except ValueError:
-            row = None
-        # A token of several digits gives a row longer than n.
-        if row is None or row.n != n:
-            bad = next(tok for tok in tokens if tok not in _DIGITS)
-            raise MatrixFormatError(f"line {lineno}: invalid digit {bad!r}")
-        rows.append(row)
-    if header is None:
+            raise MatrixFormatError(f"line {lineno}: expected header 'n k'") from None
+        if not 0 <= k <= n:
+            raise MatrixFormatError(f"line {lineno}: header requires 0 <= k <= n")
+        break
+    else:
         raise MatrixFormatError("empty input: missing header line")
-    if len(rows) != header[1]:
-        raise MatrixFormatError(
-            f"expected {header[1]} rows, found only {len(rows)}")
+    lines = list(records)
+    rows = _canonical_rows(lines, n, k)
+    if rows is None:
+        rows = []
+        for lineno, line in lines:
+            tokens = line.split()
+            if len(rows) == k:
+                raise MatrixFormatError(f"line {lineno}: more than {k} rows")
+            if len(tokens) != n:
+                raise MatrixFormatError(
+                    f"line {lineno}: expected {n} entries, found {len(tokens)}")
+            try:
+                row = GF4Vector.from_digits("".join(tokens))
+            except ValueError:
+                row = None
+            # A token of several digits gives a row longer than n.
+            if row is None or row.n != n:
+                bad = next(tok for tok in tokens if tok not in _DIGITS)
+                raise MatrixFormatError(f"line {lineno}: invalid digit {bad!r}")
+            rows.append(row)
+        if len(rows) != k:
+            raise MatrixFormatError(f"expected {k} rows, found only {len(rows)}")
     if not rows:
-        return LinearCode((), n=header[0])
+        return LinearCode((), n=n)
     return LinearCode.from_rows(rows)
 
 
+def _canonical_rows(lines: list[tuple[int, str]], n: int, k: int) -> list[GF4Vector] | None:
+    """The rows of `lines` if they are k >= 1 rows of n digits 0123 one
+    space apart, else None.
+
+    Such lines split into the same tokens as the line-by-line reader's, so
+    they give the same rows.  Their digits, at the even positions, are
+    joined and read by one `from_digits`, and the rows are cut from its
+    bitplanes by shifts.  The lengths are checked first, so a huge n
+    builds nothing.
+    """
+    if not lines or len(lines) != k or any(len(line) != 2 * n - 1 for _, line in lines):
+        return None
+    spaces = " " * (n - 1)
+    if any(line[1::2] != spaces for _, line in lines):
+        return None
+    try:
+        matrix = GF4Vector.from_digits("".join(line[::2] for _, line in lines))
+    except ValueError:
+        return None
+    return [GF4Vector(n, matrix.lo >> s, matrix.hi >> s) for s in range(0, k * n, n)]
+
+
 def emit_matrix(code: LinearCode) -> str:
-    """Matrix text for a code; parse_matrix(emit_matrix(c)) returns c."""
-    lines = [f"{code.n} {code.k}"]
-    lines += [" ".join(row.to_digits()) for row in code.rows]
-    return "\n".join(lines) + "\n"
+    """Matrix text for a code; parse_matrix(emit_matrix(c)) returns c.
+
+    The rows' digits come from one `to_digits` of the stacked matrix and
+    are written into every other byte of a template of spaces and line
+    ends.
+    """
+    n, rows = code.n, code.rows
+    header = f"{n} {code.k}\n"
+    if not rows:
+        return header
+    text = bytearray(b" " * (2 * n - 1) + b"\n") * len(rows)
+    text[::2] = _stacked(rows, n).to_digits().encode()
+    return header + text.decode("ascii")

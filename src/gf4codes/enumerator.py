@@ -27,9 +27,11 @@ before it enumerates anything.  The dual distance is the least number of
 linearly dependent columns of G (MacWilliams & Sloane, ch. 1): a zero
 column gives 1 and two proportional columns give 2, which one pass over
 the columns, read as integer keys, decides in O(nk) where enumeration
-costs 4**k/3 words.  Only d-dual >= 3 is enumerated and transformed, so the
-MacWilliams exactness checks run on that path, on every `macwilliams` call
-and on catalog validation, not on the codes the columns settle.
+costs 4**k/3 words.  With 3n > 4**k - 1 the columns outnumber the points
+of the projective space, so a zero column alone decides between 1 and 2.
+Only d-dual >= 3 is enumerated and transformed, so the MacWilliams
+exactness checks run on that path, on every `macwilliams` call and on
+catalog validation, not on the codes the columns settle.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, ConsistencyError, FormatError, _Record
-from .gf4 import GF4Vector, _multiples, _records, conj
+from .gf4 import GF4Vector, _multiples, _records, _stacked, conj
 
 if TYPE_CHECKING:
     from .codes import LinearCode
@@ -184,14 +186,16 @@ def _lane_width(k: int) -> int:
 def _column_lanes(rows: Sequence[GF4Vector], n: int, width: int) -> int:
     """The key sum_r c_r(i) * 4**r of each column i of `rows`, in lane i.
 
-    Lanes are `width` bytes, lane 0 lowest.  Each row's digits are spread
-    one lane a coordinate by a slice assignment and shifted to digit r, so
-    the matrix is transposed by a few big-integer operations per row.
+    Lanes are `width` bytes, lane 0 lowest.  The digits of all rows come
+    from one `to_digits` of the stacked matrix; each row's slice of them is
+    spread one lane a coordinate by a slice assignment and shifted to digit
+    r, so the matrix is transposed by a few big-integer operations per row.
     """
+    digits = _stacked(rows, n).to_digits().encode().translate(_DIGIT_VALUES)
     lanes = bytearray(width * n)
     keys = 0
-    for r, row in enumerate(rows):
-        lanes[::width] = row.to_digits().encode().translate(_DIGIT_VALUES)
+    for r in range(len(rows)):
+        lanes[::width] = digits[r * n:(r + 1) * n]
         keys |= int.from_bytes(lanes, "little") << (2 * r)
     return keys
 
@@ -380,6 +384,14 @@ def _lead(key: int) -> int:
     return key >> ((key & -key).bit_length() - 1 & ~1) & 3
 
 
+def _zero_column(code: "LinearCode") -> int:
+    """The first column of G that is zero in every row, or n if none is."""
+    support = 0
+    for row in code.rows:
+        support |= row.lo | row.hi
+    return (~support & (support + 1)).bit_length() - 1
+
+
 def _short_dual_words(code: "LinearCode") -> Iterator[GF4Vector]:
     """Dual words of weight 1 or 2 read off the columns of G, lazily.
 
@@ -398,10 +410,7 @@ def _short_dual_words(code: "LinearCode") -> Iterator[GF4Vector]:
     lookup per column.
     """
     n = code.n
-    support = 0
-    for row in code.rows:
-        support |= row.lo | row.hi
-    zero = (~support & (support + 1)).bit_length() - 1
+    zero = _zero_column(code)
     if zero < n:
         yield GF4Vector(n, 1 << zero)
         return
@@ -415,15 +424,18 @@ def _short_dual_words(code: "LinearCode") -> Iterator[GF4Vector]:
     for j, point in enumerate(_unpack_lanes(classes, n, width)):
         i = first.setdefault(point, j)
         if i != j:
-            a, b = (_lead(keys >> 8 * width * c & lane) for c in (i, j))
-            yield GF4Vector(n, 1 << i).scale(conj(b)) + GF4Vector(n, 1 << j).scale(conj(a))
+            a, b = (conj(_lead(keys >> 8 * width * c & lane)) for c in (i, j))
+            yield GF4Vector(n, (b & 1) << i | (a & 1) << j, (b >> 1) << i | (a >> 1) << j)
 
 
 def dual_distance(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM) -> int:
     """Minimum distance of the hermitian dual.
 
     A zero column of G gives 1, two proportional columns give 2, and
-    k = n gives the sentinel n + 1, all without enumeration.  Otherwise the
+    k = n gives the sentinel n + 1, all without enumeration.  With more
+    columns than the (4**k - 1)/3 points of the projective space, two
+    nonzero columns must be proportional, so the answer is 1 or 2 by the
+    zero column alone, without the column keys.  Otherwise the
     code is enumerated and its dual enumerator taken by MacWilliams; the
     dual itself is never enumerated, so this stays exact far past the
     enumeration budget of the dual dimension.
@@ -434,6 +446,8 @@ def dual_distance(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM) -> int:
     # The zero code takes the general path, so a length too large for
     # memory fails there with the same error as always.
     if code.k:
+        if 3 * code.n > (1 << 2 * code.k) - 1:
+            return 1 if _zero_column(code) < code.n else 2
         word = next(_short_dual_words(code), None)
         if word is not None:
             return word.weight()

@@ -17,7 +17,7 @@ This module is the one owner of the bitplane formulas (`_multiples`,
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 OMEGA = 2
 OMEGA_SQ = 3
@@ -177,6 +177,10 @@ class GF4Vector:
     def __hash__(self) -> int:
         return hash((self.n, self.lo, self.hi))
 
+    def __reduce__(self) -> tuple:
+        # Rebuilt through the constructor, so every pickle protocol works.
+        return self.__class__, (self.n, self.lo, self.hi)
+
     def __repr__(self) -> str:
         return f"GF4Vector({self.to_digits()!r})"
 
@@ -230,6 +234,19 @@ def _orthogonal(lo: int, hi: int, planes: Iterable[tuple[int, int]]) -> bool:
 def trace_inner(x: GF4Vector, y: GF4Vector) -> int:
     """Trace inner product Tr(sum_i x_i * y_i**2), a GF(2) element."""
     return trace(hermitian_inner(x, y))
+
+
+def _stacked(rows: Sequence[GF4Vector], n: int) -> GF4Vector:
+    """The length-n `rows` laid end to end as one vector, row 0 first.
+
+    Its digit string is the rows' digit strings joined, so a whole matrix
+    is converted by one `to_digits` or `from_digits` call.
+    """
+    lo = hi = 0
+    for row in reversed(rows):
+        lo = lo << n | row.lo
+        hi = hi << n | row.hi
+    return GF4Vector(len(rows) * n, lo, hi)
 
 
 def concat(x: GF4Vector, y: GF4Vector) -> GF4Vector:

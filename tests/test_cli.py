@@ -394,6 +394,21 @@ MALFORMED = [
     ("check -1", ("check", "-"), "2 1\n1 4\n", 3),
     ("check {binary}", ("check", "{binary}"), None, 2),
     ("check /no/such/file", ("check", "/no/such/file"), None, 2),
+    # Near misses of the layout emit_matrix writes, which the parser reads
+    # all at once when it can.
+    ("check - (tabs, bad digit)", ("check", "-"), "3 2\n1 0 1\n1\t4\t0\n", 3),
+    ("check - (double spaces, short row)", ("check", "-"), "3 2\n1 0 1\n1  0\n", 3),
+    ("check - (trailing spaces, short row)", ("check", "-"), "3 2\n1 0 1 \n1 0 \n", 3),
+    ("check - (multi-digit token)", ("check", "-"), "3 2\n1 0 1\n1 0 11\n", 3),
+    ("check - (non-digit at an even position)", ("check", "-"), "3 2\n1 0 1\n1 2 x\n", 3),
+    ("check - (commas)", ("check", "-"), "3 2\n1 0 1\n1,0,1\n", 3),
+    ("check - (multi-digit token at the row length)", ("check", "-"), "3 1\n101 1\n", 3),
+    ("check - (crlf, short row)", ("check", "-"), "3 2\r\n1 0 1\r\n1 2\r\n", 3),
+    ("check - (comments and blanks, bad digit)", ("check", "-"),
+     "# c\n3 2\n\n1 0 1\n# c\n\n1 2 4\n", 3),
+    ("check - (too few rows)", ("check", "-"), "3 2\n1 0 1\n", 3),
+    ("check - (too many rows)", ("check", "-"), "3 1\n1 0 1\n1 0 1\n", 3),
+    ("check - (huge header, short row)", ("check", "-"), f"{10 ** 20} 1\n1 0 1\n", 3),
     ("wenum catalog:c5_2 --partitions 0", ("wenum", "catalog:c5_2", "--partitions", "0"), None, 2),
     ("wenum catalog:c5_2 --partitions -3",
      ("wenum", "catalog:c5_2", "--partitions", "-3"), None, 2),

@@ -474,11 +474,92 @@ def test_emit_parse_round_trip_against_the_oracle(n):
     ("3 1\n1 _ 0\n", "line 2: invalid digit '_'"),
     ("# c\n3 2\n1 0 0\n\n1 2 3a\n", "line 5: invalid digit '3a'"),
     ("2 2\n1 0\n0 1\n1 1\n", "line 4: more than 2 rows"),
+    # Near misses of the layout emit_matrix writes, which parse_matrix
+    # reads all at once; each must fail as the line-by-line reader fails.
+    pytest.param("3 2\n1 0 1\n1\t4\t0\n", "line 3: invalid digit '4'", id="tabs"),
+    pytest.param("3 2\n1 0 1\n1  0\n", "line 3: expected 3 entries, found 2",
+                 id="double-spaces"),
+    pytest.param("3 2\n1 0 1 \n1 0 \n", "line 3: expected 3 entries, found 2",
+                 id="trailing-spaces"),
+    pytest.param("3 2\n1 0 1\n1 0 11\n", "line 3: invalid digit '11'", id="multi-digit"),
+    pytest.param("3 2\n1 0 1\n1 2 x\n", "line 3: invalid digit 'x'", id="even-position"),
+    pytest.param("3 2\n1 0 1\n1,0,1\n", "line 3: expected 3 entries, found 1", id="commas"),
+    pytest.param("3 1\n101 1\n", "line 2: expected 3 entries, found 2",
+                 id="multi-digit-at-row-length"),
+    pytest.param("3 2\r\n1 0 1\r\n1 2\r\n", "line 3: expected 3 entries, found 2", id="crlf"),
+    pytest.param("# c\n3 2\n\n1 0 1\n# c\n\n1 2 4\n", "line 7: invalid digit '4'",
+                 id="comments-and-blanks"),
+    pytest.param("3 2\n1 0 1\n", "expected 2 rows, found only 1", id="too-few-rows"),
+    pytest.param(f"{10 ** 20} 1\n1 0 1\n", f"line 2: expected {10 ** 20} entries, found 3",
+                 id="huge-header"),
+    pytest.param("3 1\n1 0 1\n1 0 1\n", "line 3: more than 1 rows", id="too-many-rows"),
 ])
 def test_malformed_rows_keep_their_messages(text, message):
     with pytest.raises(MatrixFormatError) as info:
         parse_matrix(text)
     assert str(info.value) == message
+
+
+# Texts that parse, in the layout emit_matrix writes and around it.
+PARSED = {
+    "canonical": "3 2\n1 0 1\n0 1 2\n",
+    "tabs": "3 2\n1\t0\t1\n0\t1\t2\n",
+    "double-spaces": "3 2\n1  0 1\n0 1  2\n",
+    "trailing-spaces": "3 2\n1 0 1 \n  0 1 2\t\n",
+    "crlf": "3 2\r\n1 0 1\r\n0 1 2\r\n",
+    "comments-and-blanks": "# c\n3 2\n\n1 0 1\n# c\n\n0 1 2\n# done\n",
+    "no-final-newline": "3 2\n1 0 1\n0 1 2",
+    "dependent-row": "3 3\n1 0 1\n0 1 2\n1 1 3\n",
+    "one-column": "1 1\n3\n",
+    "zero-code": "4 0\n",
+}
+
+
+def parse_outcome(text):
+    """The rows and dropped rows parse_matrix gives, or its error text."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = parse_matrix(text)
+    except MatrixFormatError as exc:
+        return str(exc)
+    return code.n, code.rows, code.dropped_rows
+
+
+@pytest.mark.parametrize("text", PARSED.values(), ids=PARSED)
+def test_parse_fast_and_general_paths_agree(monkeypatch, text):
+    # The malformed rows above check the errors of both paths: a fast path
+    # that took any of them would not raise.
+    from gf4codes import codes
+    fast = parse_outcome(text)
+    assert not isinstance(fast, str), fast
+    monkeypatch.setattr(codes, "_canonical_rows", lambda lines, n, k: None)
+    assert fast == parse_outcome(text)
+
+
+@pytest.mark.parametrize("n", (1, 2, 9, 64, 65, 200, 402))
+def test_emitted_rows_take_the_fast_path(monkeypatch, n):
+    from gf4codes import codes
+    real = codes._canonical_rows
+    taken = []
+    monkeypatch.setattr(codes, "_canonical_rows",
+                        lambda lines, n, k: taken.append(real(lines, n, k)) or taken[-1])
+    rng = random.Random(4100 + n)
+    for k in range(1, min(n, 8) + 1):
+        rows = oracle.rand_code_rows(rng, n, k)
+        again = parse_matrix(emit_matrix(oracle.to_code(rows)))
+        assert taken[-1] is not None
+        assert [r.coords() for r in again.rows] == rows
+
+
+@pytest.mark.parametrize("n", (1, 2, 9, 63, 64, 65, 200, 402))
+def test_emit_matrix_matches_the_per_row_form(n):
+    rng = random.Random(4000 + n)
+    for k in range(min(n, 8) + 1):
+        code = oracle.to_code(oracle.rand_code_rows(rng, n, k) if k else [], n=n)
+        lines = [f"{n} {k}"] + [" ".join(row.to_digits()) for row in code.rows]
+        assert emit_matrix(code) == "\n".join(lines) + "\n"
+    assert emit_matrix(LinearCode((), n=0)) == "0 0\n"
 
 
 def owns_columns(rows, n):
@@ -690,3 +771,26 @@ def test_from_rows_finishes_its_own_reduction(monkeypatch):
         assert not calls
         assert reduced == real(code.rows, n)
         assert [tuple(r.coords()) for r in reduced[1]] == list(oracle.orref(rows, n)[1])
+
+
+def test_contains_before_and_after_the_reduced_form_is_read():
+    # A from_rows code answers contains against the echelon its forward
+    # pass left, and later back-substitutes that same echelon.
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randrange(1, 40)
+        k = rng.randrange(1, min(n, 6) + 1)
+        rows = oracle.rand_code_rows(rng, n, k)
+        given = rows + [oracle.vadd(rows[0], oracle.vscale(2, rows[-1]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = LinearCode.from_rows([GF4Vector.from_coords(r) for r in given])
+        probes = [oracle.rand_vec(rng, n) for _ in range(6)]
+        probes += [oracle.vadd(rows[0], oracle.vscale(3, rows[-1])), (0,) * n]
+        want = [oracle.orank(rows + [p]) == k for p in probes]
+        vectors = [GF4Vector.from_coords(p) for p in probes]
+        assert [code.contains(v) for v in vectors] == want
+        assert [code.contains(v) for v in vectors] == want
+        assert code._reduced() == rref(code.rows, n)
+        assert [code.contains(v) for v in vectors] == want
+        assert code._reduced() == rref(code.rows, n)

@@ -192,6 +192,51 @@ def test_column_classes_fill_every_lane_width():
         assert got == want, k
 
 
+@pytest.mark.parametrize("k", (1, 3, 4, 7, 8, 15, 16, 31, 32, 33))
+def test_column_lanes_match_a_per_row_transpose(k):
+    # Every lane width from the least that holds k digits, 1 to 8 bytes and
+    # the wider fallback, against keys summed column by column.
+    rng = random.Random(5000 + k)
+    for n in (1, 5, 64, 130):
+        rows = [oracle.rand_vec(rng, n) for _ in range(k)]
+        vectors = [GF4Vector.from_coords(r) for r in rows]
+        for width in (1, 2, 4, 8, 16):
+            if width < enumerator._lane_width(k):
+                continue
+            want = 0
+            for i in range(n):
+                key = sum(row[i] << 2 * r for r, row in enumerate(rows))
+                want |= key << 8 * width * i
+            assert enumerator._column_lanes(vectors, n, width) == want, (n, width)
+
+
+def test_dual_distance_past_the_projective_points(monkeypatch):
+    # With 3n > 4**k - 1 the columns outnumber the points of PG(k-1, 4):
+    # the answer is 1 with a zero column, else 2, and no column key is read.
+    def refuse(code):
+        raise AssertionError("the column keys were read")
+
+    monkeypatch.setattr(enumerator, "_short_dual_words", refuse)
+    rng = random.Random(51)
+    seen = set()
+    for n in range(2, 10):
+        for k in (1, 2):
+            if not 3 * n > 4 ** k - 1:
+                continue
+            for trial in range(12):
+                rows = oracle.rand_code_rows(rng, n, k)
+                if trial % 3 == 0:
+                    zero = rng.randrange(n)
+                    rows = [r[:zero] + (0,) + r[zero + 1:] for r in rows]
+                    if oracle.orank(rows) < k:
+                        continue
+                dual = oracle.omacwilliams(oracle.owenum(rows, n), k)
+                want = next(j for j in range(1, n + 1) if dual[j])
+                assert dual_distance(oracle.to_code(rows)) == want, rows
+                seen.add(want)
+    assert seen == {1, 2}
+
+
 def test_budget_is_checked_before_the_column_rule():
     # Column 2 is zero, which alone settles d_dual = d = 1.
     code = LinearCode([GF4Vector.from_digits("110")])

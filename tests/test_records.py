@@ -6,7 +6,8 @@ import pickle
 
 import pytest
 
-from gf4codes import GF4Vector, OddDualVector, QuantumParams, WeightEnumerator, catalog
+from gf4codes import (GF4Vector, LinearCode, OddDualVector, QuantumParams, WeightEnumerator,
+                      catalog)
 from gf4codes.catalog import CatalogEntry, Expected
 
 ODD = GF4Vector.from_digits("10123")
@@ -122,16 +123,47 @@ def test_fields_cannot_be_assigned_or_deleted(record, values, text):
 
 @pytest.mark.parametrize("record, values, text", SNAPSHOTS, ids=IDS)
 def test_pickle_and_copy_round_trip(record, values, text):
-    # GF4Vector and LinearCode are __slots__ classes without __getstate__,
-    # which pickle protocols 0 and 1 refuse; records holding them start at 2.
-    holds_slots_object = type(record) in (OddDualVector, CatalogEntry)
-    for protocol in range(2 if holds_slots_object else 0, pickle.HIGHEST_PROTOCOL + 1):
+    # Every protocol, for the records holding a GF4Vector or a LinearCode too.
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
         assert type(back) is type(record)
         assert back == record and repr(back) == text and hash(back) == hash(record)
     for dup in (copy.copy(record), copy.deepcopy(record)):
         assert type(dup) is type(record)
         assert dup == record and repr(dup) == text
+
+
+def _codes():
+    rows = [GF4Vector.from_digits(d) for d in ("1012", "0112", "1100")]
+    with pytest.warns(UserWarning, match="dependent"):
+        dropped = LinearCode.from_rows(rows)
+    return {"vector": GF4Vector.from_digits("10123"), "empty-vector": GF4Vector(0),
+            "long-vector": GF4Vector(402, 3 << 200, 1 << 401),
+            "code": ENTRY.code, "zero-code": LinearCode((), n=7),
+            "dropped-rows": dropped, "lazy-dual": catalog.get("c8_4_shortened").code.dual()}
+
+
+@pytest.mark.parametrize("name", ("vector", "empty-vector", "long-vector", "code", "zero-code",
+                                  "dropped-rows", "lazy-dual"))
+def test_vectors_and_codes_pickle_and_copy_round_trip(name):
+    # A code is rebuilt from its rows, n and dropped rows alone: whatever it
+    # has cached (reduced form, echelon, dual) is not pickled.
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        fresh = _codes()[name]
+        data = pickle.dumps(fresh, protocol)
+        if isinstance(fresh, LinearCode):
+            assert fresh._rows is not None
+            if fresh.k and fresh.k < fresh.n:
+                fresh.contains(fresh.rows[0])
+                fresh.dual().rows
+            assert pickle.dumps(fresh, protocol) == data
+        back = pickle.loads(data)
+        assert type(back) is type(fresh) and back == fresh and hash(back) == hash(fresh)
+        if isinstance(fresh, LinearCode):
+            assert (back.n, back.k, back.dropped_rows) == (fresh.n, fresh.k, fresh.dropped_rows)
+            assert back.same_row_space(fresh)
+    for dup in (copy.copy(fresh), copy.deepcopy(fresh)):
+        assert type(dup) is type(fresh) and dup == fresh
 
 
 def test_positional_pattern_matching():
