@@ -444,7 +444,8 @@ def parse_matrix(text: str) -> LinearCode:
     is the zero code of length n.
 
     Rows in the layout `emit_matrix` writes, exactly k of them with n
-    digits one space apart, are read together by `_canonical_rows`; any
+    digits one space apart once comments and blank lines are skipped and
+    each line is stripped, are read together by `_canonical_rows`; any
     other rows, and every error, are read line by line.
     """
     records = _records(text)
