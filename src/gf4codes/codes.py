@@ -42,7 +42,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable, Sequence
 
-from .errors import MatrixFormatError, PreconditionError
+from .errors import ConsistencyError, MatrixFormatError, PreconditionError
 from .gf4 import (GF4Vector, _multiples, _orthogonal, _records, _stacked, cyclic_shift,
                   delete_coordinate, inv)
 
@@ -59,7 +59,10 @@ def _insert(echelon: dict[int, tuple[tuple[int, int], ...]], lo: int, hi: int) -
     the pivot row that cancels the entry c, until it is zero or reaches a
     bit without a pivot row; there it is scaled to 1 and becomes that
     bit's pivot row.  The multiples of x/c are those of x rotated: with
-    1/c = omega**e they start at omega**e * x.
+    1/c = omega**e they start at omega**e * x.  Each elimination clears its
+    bit, so the row's lowest bit rises and the loop ends; a pivot row that
+    is not 1 at its bit would leave it set, and raises ConsistencyError
+    instead of looping forever.
     """
     while lo | hi:
         bit = (lo | hi) & -(lo | hi)
@@ -73,6 +76,8 @@ def _insert(echelon: dict[int, tuple[tuple[int, int], ...]], lo: int, hi: int) -
         mlo, mhi = pivot_row[c - 1]
         lo ^= mlo
         hi ^= mhi
+        if (lo | hi) & bit:
+            raise ConsistencyError(f"pivot row of column {bit.bit_length() - 1} is not 1 there")
     return 0
 
 

@@ -73,42 +73,46 @@ def _checked(c1: LinearCode, c2: LinearCode,
     return odd
 
 
-def _adjoin(rows: Sequence[GF4Vector], n: int, xs: Sequence[GF4Vector], k: int) -> LinearCode:
-    """Rows (g | 0..0) for each g, then (x_i | e_i), as a checked [n + len(xs), k] code."""
+def _adjoin(rows: Sequence[GF4Vector], n: int, xs: Sequence[GF4Vector]) -> LinearCode:
+    """Rows (g | 0..0) for each g, then (x_i | e_i), as a checked code of length n + len(xs).
+
+    `LinearCode` either raises on dependent rows or takes one dimension per
+    row, so the code has the k the construction promises.
+    """
     m = n + len(xs)
     adjoined = [GF4Vector(m, g.lo, g.hi) for g in rows]
     adjoined += [GF4Vector(m, x.lo | 1 << (n + i), x.hi) for i, x in enumerate(xs)]
-    # Post-construction verification: dimension and self-orthogonality are
-    # guaranteed by the preconditions, so a failure here means the caller
-    # slipped past them.
+    # Post-construction verification: independence and self-orthogonality
+    # are guaranteed by the preconditions, so a failure here means the
+    # caller slipped past them.
     try:
         code = LinearCode(adjoined, n=m)
     except ValueError:
         raise PreconditionError("constructed generator matrix is rank-deficient") from None
-    if code.k != k:
-        raise PreconditionError(f"constructed code has dimension {code.k}, expected {k}")
     if not code.is_hermitian_self_orthogonal():
         raise PreconditionError("constructed code failed the self-orthogonality check")
     return code
 
 
+def _double(c1: LinearCode, c2: LinearCode, *xs: GF4Vector | OddDualVector) -> LinearCode:
+    """Rows (g1 | g2) over the paired generators, then (x_i in half i | e_i) per x_i."""
+    n = c1.n
+    placed = [GF4Vector(2 * n, x.vector.lo << i * n, x.vector.hi << i * n)
+              for i, x in enumerate(_checked(c1, c2, *xs))]
+    return _adjoin([concat(a, b) for a, b in zip(c1.rows, c2.rows)], 2 * n, placed)
+
+
 def double_odd(c1: LinearCode, c2: LinearCode,
                x1: GF4Vector | OddDualVector) -> LinearCode:
     """The [2n+1, k+1] doubled code from (C1, C2) and x1."""
-    (x,) = _checked(c1, c2, x1)
-    pairs = [concat(a, b) for a, b in zip(c1.rows, c2.rows)]
-    return _adjoin(pairs, 2 * c1.n, [concat(x.vector, GF4Vector(c1.n))], c1.k + 1)
+    return _double(c1, c2, x1)
 
 
 def double_even(c1: LinearCode, c2: LinearCode,
                 x1: GF4Vector | OddDualVector,
                 x2: GF4Vector | OddDualVector) -> LinearCode:
     """The [2n+2, k+2] doubled code from (C1, C2) and (x1, x2)."""
-    xo1, xo2 = _checked(c1, c2, x1, x2)
-    zeros = GF4Vector(c1.n)
-    pairs = [concat(a, b) for a, b in zip(c1.rows, c2.rows)]
-    xs = [concat(xo1.vector, zeros), concat(zeros, xo2.vector)]
-    return _adjoin(pairs, 2 * c1.n, xs, c1.k + 2)
+    return _double(c1, c2, x1, x2)
 
 
 def auxiliary_code(c: LinearCode, x: GF4Vector | OddDualVector) -> LinearCode:
@@ -116,7 +120,7 @@ def auxiliary_code(c: LinearCode, x: GF4Vector | OddDualVector) -> LinearCode:
     xo = OddDualVector.for_code(c, getattr(x, "vector", x))
     if not c.is_hermitian_self_orthogonal():
         raise PreconditionError("input code is not hermitian self-orthogonal")
-    return _adjoin(c.rows, c.n, [xo.vector], c.k + 1)
+    return _adjoin(c.rows, c.n, [xo.vector])
 
 
 def find_odd_dual_vector(code: LinearCode) -> OddDualVector | None:

@@ -4,20 +4,24 @@ Scalar multiples share a weight (wt(cx) = wt(x) for c in GF(4)*), so
 enumeration counts only the (4**k - 1)/3 projective codewords: those whose
 highest-index nonzero coefficient is 1.  Block r is row r plus the 4**r
 combinations of rows 0..r-1, indexed in binary Gray order over their 2r
-GF(2)-generators (each row and its omega multiple).  A small block is
-walked word by word, two XORs and a popcount on the bitplanes each.  A
-large one is cut into aligned chunks of up to 4**7 words, each an offset
-plus the whole span of the lowest generators, and a chunk is counted
-bitsliced: one 4**7-bit integer per coordinate, bit s set when word s is
-nonzero there, read from the column's key in two parity tables and summed
-by a carry-save adder into count planes.  A chunk thus costs O(n)
-big-integer operations instead of one loop step per word, and a block is
-chunked when a chunk holds at least 5 words per coordinate, where the
-two cost about the same.  The counts are then tripled and the zero word
-added; the zero code has no projective words, so it needs no special
-case.  The projective index range may be split into contiguous partitions
-whose histograms are summed; a chunk that a partition boundary cuts is
-walked, and the result is bit-identical for any partition count.
+GF(2)-generators (each row and its omega multiple), and is cut into
+aligned chunks of up to 4**7 words, each an offset plus the whole span of
+the lowest generators.  The projective index range may be split into
+contiguous partitions whose histograms are summed, and one loop takes the
+chunks each partition's share of a block overlaps, one at a time, for
+only the blocks the partition overlaps.  A
+whole chunk that holds at least 5 words per coordinate, where the two
+cost about the same, is counted bitsliced: one 4**7-bit integer per
+coordinate, bit s set when word s is nonzero there, read from the
+column's key in two parity tables and summed by a carry-save adder into
+count planes, so it costs O(n) big-integer operations instead of one loop
+step per word.  Any other chunk, and the part of a chunk inside a
+partition, is walked word by word, two XORs and a popcount on the
+bitplanes each.  Either way its first word is one offset, row r plus the
+generators its Gray index selects (`_word`).  The counts are then tripled
+and the zero word added; the zero code has no projective words, so it
+needs no special case.  The result is bit-identical for any partition
+count.
 
 The MacWilliams transform reads whole Krawtchouk columns, each built by the
 exact three-term recurrence and cached per (n, i).
@@ -99,62 +103,57 @@ def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
     # Past `total` partitions every nonempty one holds a single word, as it
     # does with exactly `total`, and the rest are empty: walk only those.
     parts = min(partitions, total)
-    keys = None  # the column keys of the rows inner to a chunk, read once
+    inner = code.rows[:min(k - 1, _SLICE_MAX_ROWS)]
+    if k and 1 << 2 * len(inner) >= _SLICE_MIN_WORDS_PER_COORD * n:
+        # Bit t of a column's key is that coordinate of the constant plane
+        # of generator t, and of its omega key, of the omega plane: 7 inner
+        # rows fit 16-bit lanes.  Chunks grow with the block, so only when
+        # the largest block's chunk qualifies can any chunk be sliced; a
+        # smaller chunk reads the keys' low bits alone.
+        packed = _column_lanes(inner, n, 2)
+        keys = (_unpack_lanes(packed, n, 2), _unpack_lanes(_lane_omega(packed, n, 2), n, 2))
     for p in range(parts):
         a, b = total * p // parts, total * (p + 1) // parts
         # Block r holds projective indices first .. first + 4**r - 1, where
-        # first = (4**r - 1)/3; count this partition's share of each block.
-        for r in range(k):
+        # first = (4**r - 1)/3, so index x is in the block r with
+        # 4**r <= 3x + 1 < 4**(r + 1); count the partition's share of each
+        # block from that of a to that of b - 1.
+        for r in range((3 * a + 1).bit_length() - 1 >> 1, (3 * b - 2).bit_length() + 1 >> 1):
             first = ((1 << (2 * r)) - 1) // 3
             lo_j = max(a - first, 0)
             hi_j = min(b - first, 1 << (2 * r))
-            if lo_j >= hi_j:
-                continue
-            # Gray index j = h * size + l has gray(j) = gray(h) << m, xor
+            # Gray index j = h * 2**m + l has gray(j) = gray(h) << m, xor
             # gray(l), xor bit m - 1 when h is odd.  So the words of an
             # aligned chunk h are row r plus the outer generators at
-            # gray(h) plus the whole span of the m inner ones.
+            # gray(h) plus the whole span of the m inner ones.  Each chunk
+            # the share overlaps is sliced when whole, else walked.
             m = 2 * min(r, _SLICE_MAX_ROWS)
-            size = 1 << m
-            h0, h1 = -(-lo_j // size), hi_j // size
-            if size < _SLICE_MIN_WORDS_PER_COORD * n or h0 >= h1:
-                _walk(counts, bg, r, lo_j, hi_j)
-                continue
-            if keys is None:
-                # Bit t of a column's key is that coordinate of the constant
-                # plane of generator t, and of its omega key, of the omega
-                # plane: 7 inner rows fit 16-bit lanes.
-                packed = _column_lanes(code.rows[:min(k - 1, _SLICE_MAX_ROWS)], n, 2)
-                keys = (_unpack_lanes(packed, n, 2),
-                        _unpack_lanes(_lane_omega(packed, n, 2), n, 2))
-            _walk(counts, bg, r, lo_j, h0 * size)
-            for h in range(h0, h1):
-                lo, hi = bg[2 * r]
-                g = h ^ (h >> 1)
-                while g:
-                    glo, ghi = bg[m + (g & -g).bit_length() - 1]
-                    lo ^= glo
-                    hi ^= ghi
-                    g &= g - 1
-                _sliced(counts, m, *keys, lo, hi, n)
-            _walk(counts, bg, r, h1 * size, hi_j)
+            sliced = 1 << m >= _SLICE_MIN_WORDS_PER_COORD * n
+            for h in range(lo_j >> m, -(-hi_j >> m)):
+                start, stop = max(lo_j, h << m), min(hi_j, h + 1 << m)
+                if sliced and stop - start == 1 << m:
+                    _sliced(counts, m, *keys, *_word(bg, r, h ^ h >> 1, m), n)
+                else:
+                    _walk(counts, bg, r, start, stop)
     counts = [3 * c for c in counts]
     counts[0] = 1
     return WeightEnumerator(tuple(counts))
 
 
-def _walk(counts: list[int], bg: list[tuple[int, int]], r: int, start: int, stop: int) -> None:
-    """Count block r's words at Gray indices start .. stop - 1, one at a time."""
-    if start >= stop:
-        return
-    # Start at row r plus the combination with Gray code `start`.
+def _word(bg: list[tuple[int, int]], r: int, g: int, first: int) -> tuple[int, int]:
+    """Row r plus generator first + t for each set bit t of g, as (lo, hi)."""
     lo, hi = bg[2 * r]
-    g = start ^ (start >> 1)
-    for t in range(2 * r):
-        if (g >> t) & 1:
-            glo, ghi = bg[t]
-            lo ^= glo
-            hi ^= ghi
+    while g:
+        glo, ghi = bg[first + (g & -g).bit_length() - 1]
+        lo ^= glo
+        hi ^= ghi
+        g &= g - 1
+    return lo, hi
+
+
+def _walk(counts: list[int], bg: list[tuple[int, int]], r: int, start: int, stop: int) -> None:
+    """Count block r's words at Gray indices start .. stop - 1 (start < stop), one at a time."""
+    lo, hi = _word(bg, r, start ^ start >> 1, 0)
     counts[(lo | hi).bit_count()] += 1
     for j in range(start + 1, stop):
         glo, ghi = bg[(j & -j).bit_length() - 1]

@@ -9,9 +9,11 @@ from itertools import product
 
 import pytest
 
-from gf4codes import (GF4Vector, LinearCode, MatrixFormatError, append,
+from gf4codes import (ConsistencyError, GF4Vector, LinearCode, MatrixFormatError, append,
                       circulant, emit_matrix, find_odd_dual_vector, hermitian_inner,
                       parse_matrix, rref)
+from gf4codes.codes import _insert
+from gf4codes.gf4 import _multiples
 
 import oracle
 
@@ -603,6 +605,16 @@ def test_dependent_and_zero_rows_still_raise():
                   GF4Vector.from_digits("1100")]):
         with pytest.raises(ValueError, match="linearly dependent"):
             LinearCode(rows)
+
+
+def test_insert_rejects_a_pivot_row_that_is_not_1_at_its_pivot():
+    # An echelon row scaled to omega or omega**2 at its pivot bit cannot
+    # clear that bit: the row would cycle through its multiples forever.
+    for bad in _multiples(1, 0)[1:]:
+        for c in (1, 2, 3):
+            row = _multiples(0b101, 0)[c - 1]
+            with pytest.raises(ConsistencyError, match="pivot row of column 0"):
+                _insert({1: _multiples(*bad)}, *row)
 
 
 def test_from_rows_drops_exactly_the_rows_the_oracle_rank_ignores():
