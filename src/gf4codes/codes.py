@@ -214,9 +214,9 @@ class LinearCode:
             n = rows[0].n
         if n < 0:
             raise ValueError("code length must be nonnegative")
-        for row in rows:
+        for i, row in enumerate(rows):
             if row.n != n:
-                raise ValueError("rows have mixed lengths")
+                raise ValueError(f"row {i} has length {row.n}, expected {n}")
         reduced = None
         if not _owns_columns(rows):
             reduced = rref(rows, n)

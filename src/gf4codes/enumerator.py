@@ -254,8 +254,13 @@ def _sliced(counts: list[int], m: int, keys: Sequence[int], omega_keys: Sequence
     Bit s of a coordinate's plane says whether that coordinate of word s is
     nonzero; word s adds generator t when bit t of s is set, so its
     constant and omega planes are parities of s against the column keys,
-    complemented where (lo, hi) is nonzero.  A carry-save adder sums the n
-    planes into binary count planes, and the words of each weight are the
+    complemented where (lo, hi) is nonzero.  A carry-save adder sums the
+    planes as they are built, so it holds O(log n) of them at a time, not
+    n.  Each plane takes one pass up the levels: a level holding one plane
+    takes it, and a level holding two full-adds them with it, keeps the
+    sum and passes the carry up to the next level.  One ripple of full
+    adders, a level's one or two planes plus the carry from below, then
+    gives the binary count planes, and the words of each weight are the
     ones in its pattern of count planes, split off one plane at a time.
     """
     ones = (1 << (1 << m)) - 1
@@ -272,37 +277,24 @@ def _sliced(counts: list[int], m: int, keys: Sequence[int], omega_keys: Sequence
         if digit & 2:
             phi ^= ones
         plane = plo | phi
-        level = 0
-        while plane:
-            if level == len(pending):
-                pending.append([plane])
-                break
-            bucket = pending[level]
+        for bucket in pending:
             if len(bucket) == 1:
                 bucket.append(plane)
                 break
             a, b = bucket
             t = a ^ b
-            pending[level] = [t ^ plane]
+            bucket[0] = t ^ plane
+            del bucket[1]
             plane = a & b | t & plane
-            level += 1
+        else:
+            pending.append([plane])
     planes = []
     carry = 0
     for bucket in pending:
-        if carry:
-            bucket.append(carry)
-        if len(bucket) == 3:
-            a, b, c = bucket
-            t = a ^ b
-            planes.append(t ^ c)
-            carry = a & b | t & c
-        elif len(bucket) == 2:
-            a, b = bucket
-            planes.append(a ^ b)
-            carry = a & b
-        else:
-            planes.append(bucket[0])
-            carry = 0
+        a, b = bucket if len(bucket) == 2 else (bucket[0], 0)
+        t = a ^ b
+        planes.append(t ^ carry)
+        carry = a & b | t & carry
     if carry:
         planes.append(carry)
     groups = [(0, ones)]

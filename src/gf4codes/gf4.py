@@ -10,9 +10,13 @@ coefficient.  Vector addition is then two integer XORs and Hamming weight
 is one popcount, which is what makes exhaustive codeword enumeration fast
 enough for dimensions up to 16.
 
-This module is the one owner of the bitplane formulas (`_multiples`,
-`_entry`, conjugation, the inner products); other modules call them on raw
-(lo, hi) pairs instead of writing their own.
+This module owns the bitplane formulas (`_multiples`, `_entry`,
+conjugation, the inner products), and other modules call them on raw
+(lo, hi) pairs instead of writing their own, save for three hot loops in
+`codes` that write one out to spare a call per step: `_insert` and
+`_back_substitute` read the entry at a bit as `_entry` does, once per
+elimination, and `_dual_rows` conjugates each reduced row as the planes
+(lo ^ hi, hi), without building a conjugated vector.
 """
 
 from __future__ import annotations

@@ -119,6 +119,13 @@ def test_from_rows_rejects_bad_input():
         LinearCode.from_rows([GF4Vector(3), GF4Vector(4)])
 
 
+def test_direct_constructor_names_a_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^row 0 has length 3, expected 4$"):
+        LinearCode([GF4Vector(3, 1)], n=4)
+    with pytest.raises(ValueError, match="^row 1 has length 5, expected 4$"):
+        LinearCode([GF4Vector(4, 1), GF4Vector(5, 2)])
+
+
 def test_direct_constructor_rejects_dependent_rows():
     g = GF4Vector.from_digits("123")
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Weight enumeration, MacWilliams transform, distance extraction."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -113,14 +114,21 @@ def test_matches_naive_enumeration_past_a_machine_word():
 def test_bitsliced_chunks_match_naive_enumeration(monkeypatch):
     # Chunks of 4^2 words, bitsliced at any length: blocks past row 2 take
     # several chunks with outer offsets, and partitions cut chunks at both
-    # ends, so every path of the chunked count is taken.
+    # ends, so every path of the chunked count is taken.  Every length up
+    # to 70 sums its planes to every count depth up to 7, including the
+    # lengths 2^j - 1, 2^j and 2^j + 1 where the count gains a plane.  A
+    # code whose length is a multiple of 3 and exceeds k has a zero column,
+    # whose plane and carries are zero.
     monkeypatch.setattr(enumerator, "_SLICE_MAX_ROWS", 2)
     monkeypatch.setattr(enumerator, "_SLICE_MIN_WORDS_PER_COORD", 0)
     rng = random.Random(47)
-    for _ in range(40):
-        n = rng.randrange(1, 13)
+    for n in range(1, 71):
         k = rng.randrange(1, min(n, 5) + 1)
-        rows = oracle.rand_code_rows(rng, n, k)
+        if n % 3 or k == n:
+            rows = oracle.rand_code_rows(rng, n, k)
+        else:
+            zero = rng.randrange(n)
+            rows = [r[:zero] + (0,) + r[zero:] for r in oracle.rand_code_rows(rng, n - 1, k)]
         code = oracle.to_code(rows)
         want = oracle.owenum(rows, n)
         for parts in (1, 2, 3, 7, 20):
@@ -135,6 +143,23 @@ def test_bitsliced_blocks_match_the_walk():
     for n, k in ((5, 5), (13, 6), (40, 6), (70, 7), (130, 7)):
         code = oracle.to_code(oracle.rand_code_rows(rng, n, k))
         assert weight_enumerator(code) == weight_enumerator(code, partitions=10 ** 12), (n, k)
+
+
+def test_bitsliced_count_holds_few_planes_at_once():
+    # 4^7 >= 5 * 3000, so block 7 of a [3000, 8] code is one sliced chunk
+    # of 2 KiB planes.  The adder holds at most two planes a level, and the
+    # call peaks under 1 MiB; holding all 3000 planes at once takes 6 MiB.
+    rng = random.Random(49)
+    code = LinearCode([GF4Vector(3000, rng.getrandbits(3000), rng.getrandbits(3000))
+                       for _ in range(8)])
+    weight_enumerator(code)  # the parity tables are built once per process
+    tracemalloc.start()
+    try:
+        weight_enumerator(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_partition_validation():
