@@ -191,8 +191,10 @@ class LinearCode:
     forward pass, which `contains` reduces against as it stands and the
     first read of the reduced form back-substitutes.  Otherwise `contains`
     builds its echelon once from the reduced form.  The dual and the
-    self-orthogonality test are likewise computed once per instance.
-    Pickling keeps only the rows, n and `dropped_rows`.
+    self-orthogonality test are likewise computed once per instance, and
+    `doubling.OddDualVector.for_code` remembers the vectors it has
+    validated against the code, in a dict made on its first use.  Pickling
+    and copying keep only the rows, n and `dropped_rows`.
 
     A `dual()` code knows its k at once; its `rows`, one per free column
     of the primal, are built on first read from the primal's reduced form,
@@ -203,7 +205,7 @@ class LinearCode:
     """
 
     __slots__ = ("n", "k", "_rows", "dropped_rows", "_echelon", "_reduced_form", "_basis_of",
-                 "_dual", "_self_orthogonal", "__weakref__")
+                 "_dual", "_self_orthogonal", "_odd_vectors", "__weakref__")
 
     def __init__(self, rows: Sequence[GF4Vector], n: int | None = None,
                  dropped_rows: tuple[int, ...] = ()) -> None:
@@ -242,6 +244,7 @@ class LinearCode:
         self._basis_of = basis_of
         self._dual: LinearCode | None = None
         self._self_orthogonal: bool | None = None
+        self._odd_vectors: dict[tuple[int, int, int], int] | None = None
 
     @property
     def rows(self) -> tuple[GF4Vector, ...]:

@@ -14,9 +14,19 @@ All three are one step, `_adjoin`: rows (x_i | e_i) under (G | 0).  The
 pair is checked on the inputs, as (g | g) rows are self-orthogonal even
 when g is not: <(g | g), (g | g)> = 2<g, g> = 0 in characteristic 2.
 
+Each fact is checked once.  The public entry points check their inputs;
+a code's self-orthogonality is computed once per code, and each vector
+`OddDualVector.for_code` validates is remembered on the code it was
+checked against, so a repeat check is one lookup.  `_adjoin` then checks
+only the adjoined rows against every row: the rows above them are
+self-orthogonal because the inputs are, as the Gram matrix of the
+(g1 | g2) rows is Gram(C1) + Gram(C2).
+
 The `DoublingResult` that `double_pair` returns is the one place that
 builds the auxiliary codes and evaluates both bounds, each only when it is
-first read.
+first read.  The dual of C22 is {(v | <v, x2>) : v in C2-dual}, so
+d(C2-dual) <= d(C22-dual) <= d(C2-dual) + 1, and C22 is skipped when the
+bound it enters is already decided.
 
 The bottom rows are self-orthogonal exactly because wt(x) is odd:
 the hermitian square of (x | 0..0 | 1) is wt(x) + 1 over GF(2), since
@@ -47,16 +57,27 @@ class OddDualVector(_Record):
 
     @classmethod
     def for_code(cls, code: LinearCode, vector: GF4Vector) -> "OddDualVector":
-        """Validate `vector` against `code` and wrap it."""
+        """Validate `vector` against `code` and wrap it.
+
+        The code remembers the weight of each vector that passed, keyed by
+        its length and bitplanes, so checking it again is one lookup.
+        """
         if vector.n != code.n:
             raise PreconditionError(
                 f"vector length {vector.n} does not match code length {code.n}")
+        key = (vector.n, vector.lo, vector.hi)
+        known = code._odd_vectors
+        if known is not None and key in known:
+            return cls(vector, known[key])
         weight = vector.weight()
         if weight % 2 == 0:
             raise PreconditionError(
                 f"vector has even weight {weight}; an odd weight is required")
         if not _orthogonal(vector.lo, vector.hi, [(g.lo, g.hi) for g in code.rows]):
             raise PreconditionError("vector is not in the hermitian dual of the code")
+        if known is None:
+            known = code._odd_vectors = {}
+        known[key] = weight
         return cls(vector, weight)
 
 
@@ -77,7 +98,11 @@ def _adjoin(rows: Sequence[GF4Vector], n: int, xs: Sequence[GF4Vector]) -> Linea
     """Rows (g | 0..0) for each g, then (x_i | e_i), as a checked code of length n + len(xs).
 
     `LinearCode` either raises on dependent rows or takes one dimension per
-    row, so the code has the k the construction promises.
+    row, so the code has the k the construction promises.  The rows g are
+    self-orthogonal, as every caller checked its inputs: (g | 0..0) rows of
+    one code, or (g1 | g2) rows, whose Gram matrix is Gram(C1) + Gram(C2).
+    So only the products of each (x_i | e_i) with every row, itself
+    included, are checked, and the code is recorded as self-orthogonal.
     """
     m = n + len(xs)
     adjoined = [GF4Vector(m, g.lo, g.hi) for g in rows]
@@ -89,8 +114,10 @@ def _adjoin(rows: Sequence[GF4Vector], n: int, xs: Sequence[GF4Vector]) -> Linea
         code = LinearCode(adjoined, n=m)
     except ValueError:
         raise PreconditionError("constructed generator matrix is rank-deficient") from None
-    if not code.is_hermitian_self_orthogonal():
+    planes = [(row.lo, row.hi) for row in adjoined]
+    if not all(_orthogonal(lo, hi, planes) for lo, hi in planes[len(rows):]):
         raise PreconditionError("constructed code failed the self-orthogonality check")
+    code._self_orthogonal = True
     return code
 
 
@@ -167,6 +194,17 @@ class DoublingResult:
     The dual distance of the [2n+1, k+1] code is at most
     min(d(C11-dual), d(C2-dual)), and that of the [2n+2, k+2] code at most
     min(d(C11-dual), d(C22-dual)).
+
+    A word (v | t) is in the dual of C22 exactly when v is in the dual of
+    C2 and t = <v, x2>, so d(C2-dual) <= d(C22-dual) <= d(C2-dual) + 1;
+    the same holds for C11 and C1.  So when `bound_prime` has been read and
+    d(C11-dual) <= d(C2-dual), `bound_double_prime` is d(C11-dual), and C22
+    is neither built nor enumerated.  C11 has the dimension of C22 and is
+    enumerated first, so the enumeration budget fails where it did.
+
+    The inputs are checked once, by `double_pair`; the odd vectors are then
+    remembered on their codes, and every code built here checks only its
+    adjoined rows (see the module docstring).
     """
 
     def __init__(self, c1: LinearCode, c2: LinearCode, x1: OddDualVector,
@@ -195,11 +233,19 @@ class DoublingResult:
         return dual_distance(self.c11, max_dim=self._max_dim)
 
     @cached_property
+    def _d2(self) -> int:
+        return dual_distance(self._c2, max_dim=self._max_dim)
+
+    @cached_property
     def bound_prime(self) -> int:
-        return min(self._d11, dual_distance(self._c2, max_dim=self._max_dim))
+        return min(self._d11, self._d2)
 
     @cached_property
     def bound_double_prime(self) -> int:
+        # d(C22-dual) >= d(C2-dual), so once bound_prime has read d(C2-dual)
+        # and it is not below d(C11-dual), C22 cannot lower the minimum.
+        if "_d2" in self.__dict__ and self._d11 <= self._d2:
+            return self._d11
         return min(self._d11, dual_distance(self.c22, max_dim=self._max_dim))
 
 

@@ -1,12 +1,14 @@
 """Doubling constructions, auxiliary codes, odd dual vectors, bounds."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from gf4codes import (GF4Vector, LinearCode, OddDualVector, PreconditionError,
                       append, auxiliary_code, catalog, double_even, double_odd,
-                      double_pair, dual_distance, emit_matrix,
+                      double_pair, doubling, dual_distance, emit_matrix,
                       find_odd_dual_vector, hermitian_inner)
 
 import oracle
@@ -54,6 +56,42 @@ def test_odd_dual_vector_rejections():
         OddDualVector.for_code(code, GF4Vector.from_digits("11000"))
     with pytest.raises(PreconditionError, match="not in the hermitian dual"):
         OddDualVector.for_code(code, GF4Vector.from_digits("10000"))
+
+
+def test_validated_vector_is_still_rejected_for_another_code():
+    code = c5_2()
+    x = allones(5)
+    OddDualVector.for_code(code, x)
+    other = LinearCode([GF4Vector.from_digits("11100")])
+    with pytest.raises(PreconditionError, match="not in the hermitian dual"):
+        OddDualVector.for_code(other, x)
+
+
+def test_validated_planes_at_another_length_still_fail_the_length_check():
+    code = c5_2()
+    x = allones(5)
+    OddDualVector.for_code(code, x)
+    with pytest.raises(PreconditionError, match="length 6 does not match code length 5"):
+        OddDualVector.for_code(code, GF4Vector(6, x.lo, x.hi))
+
+
+def test_a_wrong_weight_is_replaced_by_the_true_one():
+    code = c5_2()
+    x = allones(5)
+    res = double_pair(code, code, OddDualVector(x, 3), OddDualVector(x, 1))
+    assert (res._x1.weight, res._x2.weight) == (5, 5)
+    assert OddDualVector.for_code(code, x).weight == 5
+    with pytest.raises(PreconditionError, match="even weight"):
+        double_pair(code, code, OddDualVector(GF4Vector.from_digits("11000"), 1), x)
+
+
+def test_pickled_and_copied_codes_start_without_remembered_vectors():
+    code = LinearCode(c5_2().rows)
+    OddDualVector.for_code(code, allones(5))
+    assert code._odd_vectors == {(5, 0b11111, 0): 5}
+    for dup in (pickle.loads(pickle.dumps(code)), copy.copy(code), copy.deepcopy(code)):
+        assert dup == code
+        assert dup._odd_vectors is None
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +172,26 @@ def test_auxiliary_code_structure():
     for w in words:
         assert aux.contains(GF4Vector.from_coords(w + (0,)))
     assert aux.contains(GF4Vector.from_coords((1,) * 13 + (1,)))
+
+
+def gram_is_zero(code):
+    rows = [r.coords() for r in code.rows]
+    return all(oracle.oherm(a, b) == 0 for a in rows for b in rows)
+
+
+def test_adjoin_rejects_an_adjoined_row_that_is_not_orthogonal():
+    code = c5_2()
+    outside = GF4Vector.from_digits("10000")  # odd weight, not in the dual
+    even = next(GF4Vector.from_coords(v) for v in oracle.odual_brute(
+        [r.coords() for r in code.rows], 5) if oracle.wt(v) and oracle.wt(v) % 2 == 0)
+    for x in (outside, even):
+        with pytest.raises(PreconditionError,
+                           match="constructed code failed the self-orthogonality check"):
+            doubling._adjoin(code.rows, 5, [x])
+    # The second of two adjoined rows is checked as well.
+    with pytest.raises(PreconditionError,
+                       match="constructed code failed the self-orthogonality check"):
+        doubling._adjoin(code.rows, 5, [allones(5), outside])
 
 
 def test_auxiliary_of_c5_2_is_self_dual():
@@ -271,5 +329,83 @@ def test_randomized_doubles():
         assert (res.code_double_prime.n, res.code_double_prime.k) == (2 * n + 2, k + 2)
         assert res.code_prime.is_hermitian_self_orthogonal()
         assert res.code_double_prime.is_hermitian_self_orthogonal()
+        for built in (res.code_prime, res.code_double_prime, res.c11, res.c22):
+            assert gram_is_zero(built)
         assert dual_distance(res.code_prime) <= res.bound_prime
         assert dual_distance(res.code_double_prime) <= res.bound_double_prime
+
+
+# ---------------------------------------------------------------------------
+# the bounds against the oracle, in every read order
+# ---------------------------------------------------------------------------
+
+def so_code(rng, length, m, pos):
+    """m rows of a random self-dual code of this length, shortened at pos
+    unless pos is None: a self-orthogonal code."""
+    code = oracle.to_code(rng.sample(oracle.rand_self_dual_rows(rng, length), m))
+    return code if pos is None else code.shorten(pos)
+
+
+def so_pairs(rng, count):
+    """Self-orthogonal [n, k] pairs, n <= 9 and n - k <= 5, with the odd dual
+    vectors `oracle.ofind_odd_dual` picks, as tuples."""
+    out = []
+    while len(out) < count:
+        length = rng.choice((4, 6, 8, 10))
+        m = rng.randint(1, length // 2)
+        pos = rng.randrange(length) if length == 10 or rng.random() < 0.5 else None
+        c1 = so_code(rng, length, m, pos)
+        if c1.k == 0 or c1.n - c1.k > 5:
+            continue
+        c2 = next((c for c in (so_code(rng, length, m, pos) for _ in range(10))
+                   if c.k == c1.k), None)
+        if c2 is None:
+            continue
+        xs = [oracle.ofind_odd_dual([r.coords() for r in c.rows], c.n) for c in (c1, c2)]
+        if None not in xs:
+            out.append((c1, c2, *xs))
+    return out
+
+
+def odual_distance(rows, n):
+    """Least weight of a nonzero word of the dual, by enumerating the oracle's dual basis."""
+    return min(oracle.wt(w) for w in oracle.ospan(oracle.odual_basis(rows, n), n) if any(w))
+
+
+READ_ORDERS = (("bound_prime", "bound_double_prime"), ("bound_double_prime", "bound_prime"),
+               ("bound_prime",), ("bound_double_prime",))
+
+
+def test_bounds_match_the_oracle_in_every_read_order(monkeypatch):
+    built = []
+    real = doubling.auxiliary_code
+
+    def recording(c, x):
+        built.append(c)
+        return real(c, x)
+
+    monkeypatch.setattr(doubling, "auxiliary_code", recording)
+    shortcuts = 0
+    for c1, c2, x1, x2 in so_pairs(random.Random(52), 16):
+        n = c1.n
+        r1, r2 = ([r.coords() for r in c.rows] for c in (c1, c2))
+        d1, d2 = odual_distance(r1, n), odual_distance(r2, n)
+        d11, d22 = (odual_distance([r + (0,) for r in rows] + [x + (1,)], n + 1)
+                    for rows, x in ((r1, x1), (r2, x2)))
+        # C11-dual and C22-dual are the duals of C1 and C2, each word
+        # extended by one coordinate.
+        assert d1 <= d11 <= d1 + 1
+        assert d2 <= d22 <= d2 + 1
+        expected = {"bound_prime": min(d11, d2), "bound_double_prime": min(d11, d22)}
+        for order in READ_ORDERS:
+            res = double_pair(c1, c2, GF4Vector.from_coords(x1), GF4Vector.from_coords(x2))
+            built.clear()
+            assert {name: getattr(res, name) for name in order} == \
+                {name: expected[name] for name in order}, order
+            # C22 is built only for a bound_double_prime that d(C2-dual),
+            # already read and not below d(C11-dual), does not decide.
+            shortcut = order == READ_ORDERS[0] and d11 <= d2
+            shortcuts += shortcut
+            needs_c22 = "bound_double_prime" in order and not shortcut
+            assert built == ([c1, c2] if needs_c22 else [c1]), order
+    assert 0 < shortcuts < 16
