@@ -12,17 +12,22 @@ coordinate by coordinate, through the bitplane helpers of `gf4`: a pivot
 is found from the lowest set bit of a row's support, and a row is
 eliminated with two XORs.  One insertion step, `_insert`, is the only
 elimination loop: `rref` runs it over all rows and `_back_substitute`
-finishes the echelon, `LinearCode.from_rows` runs it forward to find the
-dependent rows and keeps that echelon, and `contains` runs it once against
-a kept echelon.
+finishes the echelon, and `LinearCode.from_rows` runs it forward to find
+the dependent rows, when it must, and keeps that echelon.
 
-Each code is reduced at most once, and often never.  A code built from
-given rows whose rows each own a column, nonzero in that row alone, is
-independent by one OR/AND pass over the supports, and codes stacked from
-such rows, like the doubled codes, mostly pass.  The reduced form is then
-computed on first use.  `from_rows` back-substitutes its echelon only when
-the reduced form is first read, so a parsed code that is only doubled is
-never reduced.
+Each code is reduced at most once, and often never.  A column owned by a
+row, nonzero in that row alone (`_owned_columns`), settles two questions
+without a reduction.  Rows that each own a column are independent, by one
+OR/AND pass over the supports, whether given to the constructor or to
+`from_rows`, and codes stacked from such rows, like the doubled codes and
+the long inputs, mostly pass; their reduced form is computed by `rref` on
+first use.  And a vector's coefficient on each such row is read at the
+row's owned column, so `contains` subtracts k multiples of the rows and
+reduces nothing.  `_insert` is left to the codes whose rows do not all
+own a column, and to the zero code: `from_rows` keeps their echelon,
+`contains` runs once against it, and it is back-substituted only when the
+reduced form is first read.  A parsed code that is only doubled is never
+reduced.
 
 A dual is never reduced to be built.  `dual()` knows the dual's k at once
 and builds its basis, one row per free column of the code's reduced form
@@ -43,8 +48,8 @@ import warnings
 from collections.abc import Iterable, Sequence
 
 from .errors import ConsistencyError, MatrixFormatError, PreconditionError
-from .gf4 import (GF4Vector, _multiples, _orthogonal, _records, _stacked, cyclic_shift,
-                  delete_coordinate, inv)
+from .gf4 import (GF4Vector, _entry, _multiples, _orthogonal, _records, _stacked,
+                  cyclic_shift, delete_coordinate, inv)
 
 
 _DIGITS = ("0", "1", "2", "3")
@@ -158,20 +163,21 @@ def _dual_rows(n: int, reduced: tuple[tuple[int, ...], tuple[GF4Vector, ...]],
     return rows
 
 
-def _owns_columns(rows: Sequence[GF4Vector]) -> bool:
-    """True if every row has a column where it alone is nonzero.
+def _owned_columns(rows: Sequence[GF4Vector]) -> int:
+    """The mask of the columns where exactly one of `rows` is nonzero.
 
-    Such rows are independent: a combination with a nonzero coefficient on
-    row i is nonzero at the column row i owns.  One OR/AND pass over the
-    supports decides it.
+    Such a column is owned by that row, and is a multiple of e_r in the
+    row's own coordinate r.  Rows that each own a column are independent:
+    a combination with a nonzero coefficient on row r is nonzero at the
+    column row r owns, and that coefficient is read there.  One OR/AND pass
+    over the supports finds the mask.
     """
     seen = shared = 0
     for row in rows:
         support = row.lo | row.hi
         shared |= seen & support
         seen |= support
-    owned = seen & ~shared
-    return all((row.lo | row.hi) & owned for row in rows)
+    return seen & ~shared
 
 
 class LinearCode:
@@ -182,16 +188,16 @@ class LinearCode:
 
     Independence of the rows is proved at construction, by the cheapest
     means that works.  When every row owns a column, where no other row is
-    nonzero, one pass over the bitplanes proves it.  Otherwise the rows are
-    reduced, and dependent rows raise ValueError.  `from_rows` has found
-    the dependent rows by half a reduction already, and finishes it.  The
-    reduced row echelon form, used by `contains`, `same_row_space` and
-    `dual`, is computed at most once: at construction when the proof
-    needed it, else on first use: `from_rows` keeps the echelon of its
-    forward pass, which `contains` reduces against as it stands and the
-    first read of the reduced form back-substitutes.  Otherwise `contains`
-    builds its echelon once from the reduced form.  The dual and the
-    self-orthogonality test are likewise computed once per instance, and
+    nonzero, one pass over the bitplanes proves it; the mask of owned
+    columns it finds is kept.  Otherwise the rows are reduced, and
+    dependent rows raise ValueError.  The reduced row echelon form, used
+    by `same_row_space` and `dual`, is computed at most once: at
+    construction when the proof needed it, else on first use, by `rref` or
+    from the echelon a `from_rows` forward pass kept.  `contains` needs no
+    reduced form when every row owns a column; otherwise it reduces
+    against the kept echelon as it stands, or builds its echelon once from
+    the reduced form.  The dual and the self-orthogonality test are
+    likewise computed once per instance, and
     `doubling.OddDualVector.for_code` remembers the vectors it has
     validated against the code, in a dict made on its first use.  Pickling
     and copying keep only the rows, n and `dropped_rows`.
@@ -204,8 +210,8 @@ class LinearCode:
     explicit length; `from_rows` itself requires at least one row.
     """
 
-    __slots__ = ("n", "k", "_rows", "dropped_rows", "_echelon", "_reduced_form", "_basis_of",
-                 "_dual", "_self_orthogonal", "_odd_vectors", "__weakref__")
+    __slots__ = ("n", "k", "_rows", "dropped_rows", "_echelon", "_owned", "_reduced_form",
+                 "_basis_of", "_dual", "_self_orthogonal", "_odd_vectors", "__weakref__")
 
     def __init__(self, rows: Sequence[GF4Vector], n: int | None = None,
                  dropped_rows: tuple[int, ...] = ()) -> None:
@@ -220,26 +226,30 @@ class LinearCode:
             if row.n != n:
                 raise ValueError(f"row {i} has length {row.n}, expected {n}")
         reduced = None
-        if not _owns_columns(rows):
+        owned = _owned_columns(rows)
+        if not all((row.lo | row.hi) & owned for row in rows):
             reduced = rref(rows, n)
             if len(reduced[0]) != len(rows):
                 raise ValueError("generator rows are linearly dependent")
-        self._fill(n, len(rows), rows, dropped_rows, reduced, None, None)
+        self._fill(n, len(rows), rows, dropped_rows, reduced, None, None, owned)
 
     def _fill(self, n: int, k: int, rows: tuple[GF4Vector, ...] | None,
               dropped_rows: tuple[int, ...],
               reduced: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None,
               basis_of: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None,
-              echelon: dict[int, tuple[tuple[int, int], ...]] | None) -> None:
+              echelon: dict[int, tuple[tuple[int, int], ...]] | None,
+              owned: int | None) -> None:
         """Set every slot.  With `rows` None, `basis_of` is the reduced form
         of the code whose hermitian dual this is, and the rows wait for it.
         `echelon`, an echelon of `_insert` for the rows, is kept for
-        `contains` and back-substituted when the reduced form is read."""
+        `contains` and back-substituted when the reduced form is read.
+        `owned` is the rows' `_owned_columns` mask, or None until read."""
         self.n = n
         self.k = k
         self._rows = rows
         self.dropped_rows = dropped_rows
         self._echelon = echelon
+        self._owned = owned
         self._reduced_form = reduced
         self._basis_of = basis_of
         self._dual: LinearCode | None = None
@@ -277,14 +287,17 @@ class LinearCode:
     def from_rows(cls, rows: Iterable[GF4Vector]) -> "LinearCode":
         """Build a code from generator rows, dropping dependent ones.
 
-        One forward pass inserts each row into the pivot rows of the rows
-        kept before it; a row that adds no pivot is dependent on them.
+        Rows that each own a column, nonzero in that row alone, are
+        independent, so none is dropped and no echelon is built; the
+        reduced form comes from `rref` on first read.  Otherwise one
+        forward pass inserts each row into the pivot rows of the rows kept
+        before it; a row that adds no pivot is dependent on them.
         Dependent rows are dropped with a warning; their input indices are
         recorded in `dropped_rows` on the result.  The pass is the first
         half of `rref`, and its echelon is kept: `contains` reduces against
         it as it stands, and the first read of the reduced form finishes it
-        by back-substitution, so a code whose reduced form is never read
-        never pays for it.
+        by back-substitution.  Either way a code whose reduced form is
+        never read never pays for it.
         """
         given = list(rows)
         if not given:
@@ -293,6 +306,11 @@ class LinearCode:
         for row in given:
             if row.n != n:
                 raise MatrixFormatError("ragged rows: lengths differ")
+        code = cls.__new__(cls)
+        owned = _owned_columns(given)
+        if all((row.lo | row.hi) & owned for row in given):
+            code._fill(n, len(given), tuple(given), (), None, None, None, owned)
+            return code
         echelon: dict[int, tuple[tuple[int, int], ...]] = {}
         kept: list[GF4Vector] = []
         dropped: list[int] = []
@@ -306,8 +324,8 @@ class LinearCode:
                 f"dropped {len(dropped)} dependent generator row(s) at indices {dropped}",
                 stacklevel=2,
             )
-        code = cls.__new__(cls)
-        code._fill(n, len(kept), tuple(kept), tuple(dropped), None, None, echelon)
+        code._fill(n, len(kept), tuple(kept), tuple(dropped), None, None, echelon,
+                   None if dropped else owned)
         return code
 
     def _reduced(self) -> tuple[tuple[int, ...], tuple[GF4Vector, ...]]:
@@ -320,15 +338,43 @@ class LinearCode:
                                   else _back_substitute(echelon, self.n))
         return self._reduced_form
 
-    def contains(self, v: GF4Vector) -> bool:
-        """Membership of v in the row span: v reduces to zero by `_insert`.
+    def _owned_mask(self) -> int:
+        """The rows' `_owned_columns` mask, computed once."""
+        if self._owned is None:
+            self._owned = _owned_columns(self.rows)
+        return self._owned
 
-        The echelon reduced against is kept between calls: the one
+    def contains(self, v: GF4Vector) -> bool:
+        """Membership of v in the row span.
+
+        When every row owns a column, v's coefficient on row r can only be
+        v[o] / G_r[o] at the lowest column o that row r owns, and taking
+        that multiple of G_r leaves v alone at every other row's owned
+        column.  So v is in the span exactly when subtracting those k
+        multiples leaves 0: no echelon and no reduction.
+
+        Otherwise, and for the zero code, v must reduce to zero by
+        `_insert` against an echelon kept between calls: the one
         `from_rows` left, or else one built once from the reduced form.  A
         v outside the span adds a pivot row, which is taken out again.
         """
         if v.n != self.n:
             raise ValueError("length mismatch")
+        owned = self._owned_mask()
+        rows = self.rows
+        if rows and all((row.lo | row.hi) & owned for row in rows):
+            lo, hi = v.lo, v.hi
+            for row in rows:
+                bit = (row.lo | row.hi) & owned
+                bit &= -bit
+                c = _entry(lo, hi, bit)
+                if c:
+                    # omega**e * G_r is c at bit, with e = log c - log G_r[bit].
+                    e = (c - _entry(row.lo, row.hi, bit)) % 3
+                    mlo, mhi = _multiples(row.lo, row.hi)[e]
+                    lo ^= mlo
+                    hi ^= mhi
+            return not (lo | hi)
         echelon = self._echelon
         if echelon is None:
             echelon = self._echelon = {1 << p: _multiples(row.lo, row.hi)
@@ -354,7 +400,7 @@ class LinearCode:
         """
         if self._dual is None:
             dual = LinearCode.__new__(LinearCode)
-            dual._fill(self.n, self.n - self.k, None, (), None, self._reduced(), None)
+            dual._fill(self.n, self.n - self.k, None, (), None, self._reduced(), None, None)
             self._dual = dual
         return self._dual
 

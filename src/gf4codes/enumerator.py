@@ -29,7 +29,9 @@ exact three-term recurrence and cached per (n, i).
 `dual_distance` reads small dual distances off the generator's columns
 before it enumerates anything.  The dual distance is the least number of
 linearly dependent columns of G (MacWilliams & Sloane, ch. 1): a zero
-column gives 1 and two proportional columns give 2, which one pass over
+column gives 1 and two proportional columns give 2.  Two columns owned by
+one row, nonzero in that row alone, are proportional, so a row that owns
+two columns gives 2 in O(k) from the supports; failing that, one pass over
 the columns, read as integer keys, decides in O(nk) where enumeration
 costs 4**k/3 words.  With 3n > 4**k - 1 the columns outnumber the points
 of the projective space, so a zero column alone decides between 1 and 2.
@@ -47,7 +49,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, ConsistencyError, FormatError, _Record
-from .gf4 import GF4Vector, _multiples, _records, _stacked, conj
+from .gf4 import GF4Vector, _entry, _multiples, _records, _stacked, conj
 
 if TYPE_CHECKING:
     from .codes import LinearCode
@@ -388,13 +390,21 @@ def _short_dual_words(code: "LinearCode") -> Iterator[GF4Vector]:
 
     d-dual is the least number of linearly dependent columns of G.  A zero
     column i, found from the union of the rows' supports, gives e_i, and
-    is then the only word yielded.  Otherwise every column j = b*p whose
-    class of proportional columns was first seen at column i = a*p, with p
-    the multiple whose first nonzero digit is 1, gives the word with
-    conj(b) at i and conj(a) at j; for col_j = lambda*col_i that is
-    conj(a) times (conj(lambda) at i, 1 at j).  In each class these words
-    span all the others, so they span every weight-2 dual word.
+    is then the only word yielded.
 
+    Otherwise the first word comes from the owned columns, those where one
+    row alone is nonzero (`codes._owned_columns`), in O(k) and before any
+    column key is built.  Two columns i < j owned by one row, a at i and b
+    at j, are both multiples of e_r, so the word with conj(b) at i and
+    conj(a) at j is orthogonal to every row; the first row that owns two
+    columns gives it, from its two lowest.
+
+    Then every column j = b*p whose class of proportional columns was
+    first seen at column i = a*p, with p the multiple whose first nonzero
+    digit is 1, gives the word with conj(b) at i and conj(a) at j; for
+    col_j = lambda*col_i that is conj(a) times (conj(lambda) at i, 1 at
+    j).  In each class these words span all the others, so they span
+    every weight-2 dual word, with or without the owned pair before them.
     The columns are read all at once as integer keys (`_column_lanes`), and
     each class is named by the least key of its three nonzero multiples,
     taken lane-wise on the packed keys, so the scan itself is one dict
@@ -405,6 +415,15 @@ def _short_dual_words(code: "LinearCode") -> Iterator[GF4Vector]:
     if zero < n:
         yield GF4Vector(n, 1 << zero)
         return
+    owned = code._owned_mask()
+    for row in code.rows:
+        mine = (row.lo | row.hi) & owned
+        i = mine & -mine
+        j = (mine ^ i) & -(mine ^ i)
+        if j:
+            a, b = (conj(_entry(row.lo, row.hi, bit)) for bit in (i, j))
+            yield GF4Vector(n, (b & 1) * i | (a & 1) * j, (b >> 1) * i | (a >> 1) * j)
+            break
     width = _lane_width(code.k)
     keys = _column_lanes(code.rows, n, width)
     by_omega = _lane_omega(keys, n, width)

@@ -12,8 +12,9 @@ dual is never enumerated.
 The columns of G settle the low cases without either enumerator
 (Calderbank-Rains-Shor-Sloane 1998 for the quantum side).  A zero column
 puts a weight-1 word in the dual that the even code cannot hold, so
-d = d-dual = 1.  Proportional columns give the weight-2 dual words, and
-if one lies outside the code, d = d-dual = 2.  Both cases are pure.  A
+d = d-dual = 1.  Proportional columns give the weight-2 dual words, first
+the one from two columns owned by one row, and if one lies outside the
+code, d = d-dual = 2.  Both cases are pure.  A
 self-dual code, or one whose weight-2 dual words all lie in it, or one
 with d-dual >= 3, takes the full path, with its containment check.
 """

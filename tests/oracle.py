@@ -207,6 +207,24 @@ def ofind_odd_dual(rows, n):
     return None
 
 
+def oowned_pair(rows, n):
+    """The dual word from the first row nonzero at two columns where every
+    other row is 0, or None.
+
+    With a and b that row's entries at the two lowest such columns i < j,
+    the word is conj(b) at i and conj(a) at j.
+    """
+    for r, row in enumerate(rows):
+        alone = [c for c in range(n)
+                 if row[c] and not any(other[c] for s, other in enumerate(rows) if s != r)]
+        if len(alone) >= 2:
+            i, j = alone[:2]
+            word = [0] * n
+            word[i], word[j] = oconj(row[j]), oconj(row[i])
+            return tuple(word)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # randomized generators
 # ---------------------------------------------------------------------------
@@ -223,6 +241,18 @@ def rand_code_rows(rng, n, k):
             continue
         if orank(rows) == k:
             return rows
+
+
+def rand_owning_rows(rng, n, k):
+    """k random rows of length n >= k, each the only one nonzero at a
+    column of its own; other columns are random, zero columns included."""
+    own = rng.sample(range(n), k)
+    rows = []
+    for r in range(k):
+        row = [0 if c in own else rng.randrange(4) for c in range(n)]
+        row[own[r]] = rng.randrange(1, 4)
+        rows.append(tuple(row))
+    return rows
 
 
 HEXACODE_ROWS = ((1, 0, 0, 2, 1, 1), (0, 1, 0, 1, 2, 1), (0, 0, 1, 1, 1, 2))

@@ -243,6 +243,83 @@ def test_contains_matches_naive_span():
             assert code.contains(GF4Vector.from_coords(v)) == (v in span)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_contains_matches_the_oracle_on_every_code_up_to_length_4(n):
+    # Every subspace of GF(4)^n, the zero code included, asked about every
+    # vector of GF(4)^n through three generator matrices: its reduced rows,
+    # which own their pivot columns; row i plus omega times the sum of the
+    # rows, nonzero at every pivot column (I + omega*J is invertible over
+    # GF(4) for every k); and its lazy dual's rows, which own their free
+    # columns.  With k rows, v lies in the span exactly when
+    # orank(rows + [v]) == k, that is, when it is in the oracle's span.
+    vectors = list(product(range(4), repeat=n))
+    planes = [GF4Vector.from_coords(v) for v in vectors]
+    paths = Counter()
+    for rows in oracle.orref_matrices(n):
+        total = (0,) * n
+        for row in rows:
+            total = oracle.vadd(total, row)
+        mixed = [oracle.vadd(row, oracle.vscale(2, total)) for row in rows]
+        span = set(oracle.ospan(rows, n))
+        dual_span = set(oracle.ospan(oracle.odual_basis(rows, n), n))
+        for code, words in ((oracle.to_code(rows, n=n), span),
+                            (oracle.to_code(mixed, n=n), span),
+                            (oracle.to_code(rows, n=n).dual(), dual_span)):
+            assert [code.contains(v) for v in planes] == [v in words for v in vectors], rows
+            # Only the echelon path keeps an echelon.
+            paths["owned" if code._echelon is None else "echelon"] += 1
+    assert paths["echelon"] and (paths["owned"] or n == 0), paths
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 8, 12, 70, 130))
+def test_contains_on_rows_that_own_columns_matches_the_oracle(monkeypatch, n):
+    from gf4codes import codes
+    calls = []
+    real = codes.rref
+    monkeypatch.setattr(codes, "rref", lambda rows, m: calls.append(m) or real(rows, m))
+    rng = random.Random(2600 + n)
+    for _ in range(12 if n <= 12 else 4):
+        k = rng.randint(1, min(n, 8))
+        rows = oracle.rand_owning_rows(rng, n, k)
+        probes = [oracle.rand_vec(rng, n) for _ in range(3)]
+        for _ in range(4):
+            word = (0,) * n
+            for row in rows:
+                word = oracle.vadd(word, oracle.vscale(rng.randrange(4), row))
+            moved = list(word)
+            moved[rng.randrange(n)] ^= rng.randrange(1, 4)
+            probes += [word, tuple(moved)]
+        want = [oracle.orank(rows + [v]) == k for v in probes]
+        vectors = [GF4Vector.from_coords(r) for r in rows]
+        for code in (LinearCode(vectors), LinearCode.from_rows(vectors)):
+            assert [code.contains(GF4Vector.from_coords(v)) for v in probes] == want, rows
+            assert code._echelon is None
+    # Neither construction nor membership reduced anything.
+    assert not calls
+
+
+def test_from_rows_of_rows_that_own_columns_keeps_no_echelon():
+    # Such rows are independent, so from_rows drops none and makes no
+    # echelon; its reduced form comes from rref on first read.  The same
+    # rows and one dependent row take the forward pass instead, and both
+    # reach the one canonical reduced form, so the dual and the odd dual
+    # vector agree.
+    rng = random.Random(44)
+    for _ in range(40):
+        n = rng.randrange(1, 40)
+        k = rng.randint(1, min(n, 8))
+        vectors = [GF4Vector.from_coords(r) for r in oracle.rand_owning_rows(rng, n, k)]
+        code = LinearCode.from_rows(vectors)
+        assert code._echelon is None and code.dropped_rows == () and code.rows == tuple(vectors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            forward = LinearCode.from_rows(vectors + [vectors[0].scale(2)])
+        assert forward._echelon is not None and forward.dropped_rows == (k,)
+        assert find_odd_dual_vector(code) == find_odd_dual_vector(forward)
+        assert code.dual().rows == forward.dual().rows
+        assert code._reduced() == forward._reduced() == rref(code.rows, n)
+
+
 # ---------------------------------------------------------------------------
 # duals
 # ---------------------------------------------------------------------------
@@ -673,9 +750,14 @@ def test_dual_reduces_only_the_codes_own_rows(monkeypatch):
         dual = oracle.to_code(rows).dual()
         assert calls.count(n - k) == 0 and len(calls) <= 1
         assert [h.coords() for h in dual.rows] == oracle.odual_basis(rows, n)
-        # The dual's own reduced form is made when first needed.
+        # Each dual row owns its free column, so membership reads the
+        # coefficients there and reduces nothing.
+        before = len(calls)
         assert dual.contains(dual.rows[-1])
-        assert calls[-1] == n - k
+        assert len(calls) == before
+        # The dual's own reduced form is made when first needed.
+        dual._reduced()
+        assert calls[-1] == n - k and len(calls) == before + 1
 
 
 # ---------------------------------------------------------------------------

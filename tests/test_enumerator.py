@@ -8,7 +8,7 @@ import pytest
 from gf4codes import (BudgetExceededError, ConsistencyError, FormatError,
                       GF4Vector, LinearCode, WeightEnumerator, catalog,
                       dual_distance, format_enumerator, macwilliams,
-                      min_distance, parse_enumerator, quantum_params,
+                      QuantumParams, min_distance, parse_enumerator, quantum_params,
                       weight_enumerator)
 from gf4codes import enumerator
 from gf4codes.gf4 import hermitian_inner
@@ -191,13 +191,33 @@ def test_column_rule_on_keys_wider_than_a_machine_word():
     assert dual_distance(code, max_dim=40) == 2
 
 
+def expected_short_words(rows, n):
+    """The words `_short_dual_words` yields for a code with no zero column,
+    in order: the owned pair, if a row owns two columns, then each column j
+    paired with the first column i of its class, conj(b) at i and conj(a)
+    at j for first nonzero digits a and b."""
+    cols = list(zip(*rows))
+    pair = oracle.oowned_pair(rows, n)
+    want = [] if pair is None else [pair]
+    first = {}
+    for j, col in enumerate(cols):
+        lead = next(c for c in col if c)
+        i = first.setdefault(tuple(oracle.vscale(oracle.oinv(lead), col)), j)
+        if i != j:
+            word = [0] * n
+            word[i], word[j] = oracle.oconj(lead), oracle.oconj(next(c for c in cols[i] if c))
+            want.append(tuple(word))
+    return want
+
+
 def test_column_classes_fill_every_lane_width():
     # Keys of k = 3, 7, 15 and 31 digits are the longest that leave the top
     # bit of a 1-, 2-, 4- and 8-byte lane clear, as the lane-wise minimum
     # needs, and one digit more takes the next width.  Columns are scaled
     # copies of a few points whose last digit is 2 or 3, so the keys use
     # their highest digit, and every word must pair a column with the
-    # first of its class, as the columns themselves say.
+    # first of its class, as the columns themselves say, after the owned
+    # pair if the last row owns two columns.
     rng = random.Random(50)
     for k in (3, 4, 7, 8, 15, 16, 31, 32, 33):
         while True:
@@ -206,15 +226,77 @@ def test_column_classes_fill_every_lane_width():
             rows = [tuple(col[r] for col in cols) for r in range(k)]
             if oracle.orank(rows) == k:
                 break
-        first, want = {}, []
-        for j, col in enumerate(cols):
-            lead = next(c for c in col if c)
-            i = first.setdefault(tuple(oracle.vscale(oracle.oinv(lead), col)), j)
-            if i != j:
-                want.append((i, j))
-        got = [tuple(j for j in range(3 * k) if word[j])
-               for word in enumerator._short_dual_words(oracle.to_code(rows))]
-        assert got == want, k
+        got = [word.coords() for word in enumerator._short_dual_words(oracle.to_code(rows))]
+        assert got == expected_short_words(rows, 3 * k), k
+
+
+def test_owned_pair_comes_first_and_every_word_is_a_short_dual_word():
+    # Random codes whose rows own columns, where a row often owns two, and
+    # random codes, where one rarely does.  Every word has weight 2, is
+    # orthogonal to every row and pairs two proportional columns; the owned
+    # pair comes first and the scan's words follow it unchanged.  A zero
+    # column gives its weight-1 word alone.
+    rng = random.Random(51)
+    firsts = {"zero column": 0, "owned pair": 0, "scan": 0}
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        k = rng.randint(1, min(n, 4))
+        rows = (oracle.rand_owning_rows if rng.random() < 0.7 else oracle.rand_code_rows)(
+            rng, n, k)
+        cols = list(zip(*rows))
+        code = oracle.to_code(rows)
+        words = [word.coords() for word in enumerator._short_dual_words(code)]
+        assert all(oracle.oherm(w, g) == 0 for w in words for g in rows)
+        w = oracle.owenum(rows, n)
+        wd = oracle.omacwilliams(w, k)
+        d_dual = next((j for j in range(1, n + 1) if wd[j]), n + 1)
+        assert dual_distance(code) == d_dual, rows
+        if (0,) * k in cols:
+            zero = cols.index((0,) * k)
+            assert words == [tuple(int(c == zero) for c in range(n))]
+            firsts["zero column"] += 1
+            continue
+        for word in words:
+            i, j = (c for c in range(n) if word[c])
+            assert any(oracle.vscale(c, cols[i]) == cols[j] for c in (1, 2, 3))
+        assert words == expected_short_words(rows, n)
+        assert (d_dual == 2) == bool(words)
+        firsts["scan" if oracle.oowned_pair(rows, n) is None else "owned pair"] += 1
+    assert min(firsts.values()) > 20, firsts
+
+
+def test_owned_pair_settles_the_dual_distance_without_column_keys(monkeypatch):
+    # 3n <= 4**k - 1, so pigeonhole does not decide, and no zero column.
+    rng = random.Random(52)
+    code = None
+    while code is None:
+        rows = oracle.rand_owning_rows(rng, 12, 3)
+        if all(any(col) for col in zip(*rows)) and oracle.oowned_pair(rows, 12):
+            code = oracle.to_code(rows)
+
+    def no_keys(*args):
+        raise AssertionError("column keys built")
+
+    monkeypatch.setattr(enumerator, "_column_lanes", no_keys)
+    assert dual_distance(code) == 2
+    assert next(enumerator._short_dual_words(code)).coords() == oracle.oowned_pair(rows, 12)
+
+
+def test_owned_pair_inside_the_code_leaves_the_scan_to_decide():
+    # Row 0 owns columns 0 and 1, and its pair (1, 1, 0, 0, 0, 0) is row 0
+    # itself; the scan then pairs column 2 with columns 3..5, outside it.
+    code = LinearCode([GF4Vector.from_digits("110000"), GF4Vector.from_digits("001111")])
+    first = next(enumerator._short_dual_words(code))
+    assert first.to_digits() == "110000" and code.contains(first)
+    assert quantum_params(code) == QuantumParams(6, 2, 2, 2, True, False)
+
+
+def test_zero_column_comes_before_the_owned_pair():
+    # Row 0 owns columns 0 and 1, but column 2 is zero.
+    code = LinearCode([GF4Vector.from_digits("11000")])
+    assert [w.to_digits() for w in enumerator._short_dual_words(code)] == ["00100"]
+    assert dual_distance(code) == 1
+    assert quantum_params(code) == QuantumParams(5, 3, 1, 1, True, False)
 
 
 @pytest.mark.parametrize("k", (1, 3, 4, 7, 8, 15, 16, 31, 32, 33))

@@ -205,3 +205,32 @@ def test_quantum_params_column_rule_matches_the_oracle():
     assert set(branches) == {"self-dual", "d_dual = 1, d = d_dual", "d_dual = 2, d = d_dual",
                              "d_dual = 2, d > d_dual", "d_dual >= 3"}
     assert min(branches.values()) > 20, branches
+
+
+def test_quantum_params_on_reduced_rows_matches_the_oracle():
+    # The same codes through their reduced rows, which own their pivot
+    # columns, so a row often owns two columns and its pair is tested
+    # first: inside the code (a summand {(x, y*x)}, say) or outside it.
+    rng = random.Random(11)
+    branches = Counter()
+    for _ in range(400):
+        rows, n = _rand_self_orthogonal(rng)
+        rows = list(oracle.orref(rows, n)[1])
+        k = len(rows)
+        if not 0 < 2 * k < n:
+            continue
+        d, d_dual = _oracle_params(rows, n)
+        code = oracle.to_code(rows, n=n)
+        qp = quantum_params(code)
+        assert (qp.n, qp.k, qp.d, qp.d_dual, qp.pure, qp.degenerate) == \
+            (n, n - 2 * k, d, d_dual, d == d_dual, False), rows
+        assert dual_distance(code) == d_dual
+        pair = oracle.oowned_pair(rows, n)
+        if pair is None or any(not any(col) for col in zip(*rows)):
+            branches["no owned pair first"] += 1
+        else:
+            inside = pair in set(oracle.ospan(rows, n))
+            branches[f"owned pair {'inside' if inside else 'outside'}, d {d}"] += 1
+    assert set(branches) == {"no owned pair first", "owned pair outside, d 2",
+                             "owned pair inside, d 2", "owned pair inside, d 3"}, branches
+    assert min(branches.values()) > 5, branches
