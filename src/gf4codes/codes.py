@@ -12,22 +12,21 @@ coordinate by coordinate, through the bitplane helpers of `gf4`: a pivot
 is found from the lowest set bit of a row's support, and a row is
 eliminated with two XORs.  One insertion step, `_insert`, is the only
 elimination loop: `rref` runs it over all rows and `_back_substitute`
-finishes the echelon, and `LinearCode.from_rows` runs it forward to find
-the dependent rows, when it must, and keeps that echelon.
+finishes the echelon, and `LinearCode.from_rows` runs it forward to name
+the dependent rows of a matrix the constructor refused.
 
 Each code is reduced at most once, and often never.  A column owned by a
 row, nonzero in that row alone (`_owned_columns`), settles two questions
 without a reduction.  Rows that each own a column are independent, by one
-OR/AND pass over the supports, whether given to the constructor or to
-`from_rows`, and codes stacked from such rows, like the doubled codes and
-the long inputs, mostly pass; their reduced form is computed by `rref` on
-first use.  And a vector's coefficient on each such row is read at the
-row's owned column, so `contains` subtracts k multiples of the rows and
-reduces nothing.  `_insert` is left to the codes whose rows do not all
-own a column, and to the zero code: `from_rows` keeps their echelon,
-`contains` runs once against it, and it is back-substituted only when the
-reduced form is first read.  A parsed code that is only doubled is never
-reduced.
+OR/AND pass over the supports, and codes stacked from such rows, like the
+doubled codes and the long inputs, mostly pass; their reduced form is
+computed by `rref` on first use.  A code whose rows do not all own a
+column is reduced by `rref` at construction instead, to prove its rows
+independent.  And a vector's coefficient on a row that owns a column is
+read at that column, so `contains` subtracts k multiples of the rows: of
+the given rows when each owns a column, else of the reduced rows, each of
+which owns its pivot column.  A parsed code whose rows each own a column
+and that is only doubled is never reduced.
 
 A dual is never reduced to be built.  `dual()` knows the dual's k at once
 and builds its basis, one row per free column of the code's reduced form
@@ -91,9 +90,8 @@ def _back_substitute(echelon: dict[int, tuple[tuple[int, int], ...]],
     """Finish an echelon of `_insert` as (pivot columns, reduced rows).
 
     Back-substitution from the last pivot clears every pivot column
-    outside its own row.  `echelon` is reduced in place and stays an
-    echelon, which `contains` may go on reducing against.  Rows become
-    vectors again only on return.
+    outside its own row.  `echelon` is reduced in place, and its rows
+    become vectors again only on return.
     """
     bits = sorted(echelon)
     pivot_mask = sum(bits)  # distinct powers of two: the sum is their union
@@ -189,16 +187,14 @@ class LinearCode:
     Independence of the rows is proved at construction, by the cheapest
     means that works.  When every row owns a column, where no other row is
     nonzero, one pass over the bitplanes proves it; the mask of owned
-    columns it finds is kept.  Otherwise the rows are reduced, and
-    dependent rows raise ValueError.  The reduced row echelon form, used
-    by `same_row_space` and `dual`, is computed at most once: at
-    construction when the proof needed it, else on first use, by `rref` or
-    from the echelon a `from_rows` forward pass kept.  `contains` needs no
-    reduced form when every row owns a column; otherwise it reduces
-    against the kept echelon as it stands, or builds its echelon once from
-    the reduced form.  The dual and the self-orthogonality test are
-    likewise computed once per instance, and
-    `doubling.OddDualVector.for_code` remembers the vectors it has
+    columns it finds is kept.  Otherwise the rows are reduced by `rref`,
+    and dependent rows raise ValueError.  That is the one rule for the
+    reduced row echelon form, used by `contains`, `same_row_space` and
+    `dual`: it is computed at construction when the rows do not all own a
+    column, else by `rref` on first read, and never twice.  `contains`
+    reads it only when the rows do not all own a column.  The dual and
+    the self-orthogonality test are likewise computed once per instance,
+    and `doubling.OddDualVector.for_code` remembers the vectors it has
     validated against the code, in a dict made on its first use.  Pickling
     and copying keep only the rows, n and `dropped_rows`.
 
@@ -210,7 +206,7 @@ class LinearCode:
     explicit length; `from_rows` itself requires at least one row.
     """
 
-    __slots__ = ("n", "k", "_rows", "dropped_rows", "_echelon", "_owned", "_reduced_form",
+    __slots__ = ("n", "k", "_rows", "dropped_rows", "_owned", "_reduced_form",
                  "_basis_of", "_dual", "_self_orthogonal", "_odd_vectors", "__weakref__")
 
     def __init__(self, rows: Sequence[GF4Vector], n: int | None = None,
@@ -231,24 +227,21 @@ class LinearCode:
             reduced = rref(rows, n)
             if len(reduced[0]) != len(rows):
                 raise ValueError("generator rows are linearly dependent")
-        self._fill(n, len(rows), rows, dropped_rows, reduced, None, None, owned)
+        self._fill(n, len(rows), rows, dropped_rows, reduced, None, owned)
 
     def _fill(self, n: int, k: int, rows: tuple[GF4Vector, ...] | None,
               dropped_rows: tuple[int, ...],
               reduced: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None,
               basis_of: tuple[tuple[int, ...], tuple[GF4Vector, ...]] | None,
-              echelon: dict[int, tuple[tuple[int, int], ...]] | None,
               owned: int | None) -> None:
-        """Set every slot.  With `rows` None, `basis_of` is the reduced form
-        of the code whose hermitian dual this is, and the rows wait for it.
-        `echelon`, an echelon of `_insert` for the rows, is kept for
-        `contains` and back-substituted when the reduced form is read.
+        """Set every slot.  `reduced` is the rows' reduced form, or None
+        until read.  With `rows` None, `basis_of` is the reduced form of
+        the code whose hermitian dual this is, and the rows wait for it.
         `owned` is the rows' `_owned_columns` mask, or None until read."""
         self.n = n
         self.k = k
         self._rows = rows
         self.dropped_rows = dropped_rows
-        self._echelon = echelon
         self._owned = owned
         self._reduced_form = reduced
         self._basis_of = basis_of
@@ -287,17 +280,13 @@ class LinearCode:
     def from_rows(cls, rows: Iterable[GF4Vector]) -> "LinearCode":
         """Build a code from generator rows, dropping dependent ones.
 
-        Rows that each own a column, nonzero in that row alone, are
-        independent, so none is dropped and no echelon is built; the
-        reduced form comes from `rref` on first read.  Otherwise one
-        forward pass inserts each row into the pivot rows of the rows kept
-        before it; a row that adds no pivot is dependent on them.
-        Dependent rows are dropped with a warning; their input indices are
-        recorded in `dropped_rows` on the result.  The pass is the first
-        half of `rref`, and its echelon is kept: `contains` reduces against
-        it as it stands, and the first read of the reduced form finishes it
-        by back-substitution.  Either way a code whose reduced form is
-        never read never pays for it.
+        The rows go to the constructor as given, which proves them
+        independent and keeps its proof.  Only if it finds them dependent
+        does one forward pass insert each row into the pivot rows of the
+        rows kept before it; a row that adds no pivot is dependent on them.
+        The pass is the first half of `rref`.  Dependent rows are dropped
+        with a warning; their input indices are recorded in `dropped_rows`
+        on the result, which the constructor builds from the rows kept.
         """
         given = list(rows)
         if not given:
@@ -306,11 +295,10 @@ class LinearCode:
         for row in given:
             if row.n != n:
                 raise MatrixFormatError("ragged rows: lengths differ")
-        code = cls.__new__(cls)
-        owned = _owned_columns(given)
-        if all((row.lo | row.hi) & owned for row in given):
-            code._fill(n, len(given), tuple(given), (), None, None, None, owned)
-            return code
+        try:
+            return cls(given, n)
+        except ValueError:
+            pass
         echelon: dict[int, tuple[tuple[int, int], ...]] = {}
         kept: list[GF4Vector] = []
         dropped: list[int] = []
@@ -319,23 +307,14 @@ class LinearCode:
                 kept.append(row)
             else:
                 dropped.append(idx)
-        if dropped:
-            warnings.warn(
-                f"dropped {len(dropped)} dependent generator row(s) at indices {dropped}",
-                stacklevel=2,
-            )
-        code._fill(n, len(kept), tuple(kept), tuple(dropped), None, None, echelon,
-                   None if dropped else owned)
-        return code
+        warnings.warn(f"dropped {len(dropped)} dependent generator row(s) at indices {dropped}",
+                      stacklevel=2)
+        return cls(kept, n, tuple(dropped))
 
     def _reduced(self) -> tuple[tuple[int, ...], tuple[GF4Vector, ...]]:
-        """(pivot columns, reduced rows) of the row space, computed once:
-        back-substituted from the kept echelon if there is one, else by
-        `rref`."""
+        """(pivot columns, reduced rows) of the row space, by `rref` once."""
         if self._reduced_form is None:
-            echelon = self._echelon
-            self._reduced_form = (rref(self.rows, self.n) if echelon is None
-                                  else _back_substitute(echelon, self.n))
+            self._reduced_form = rref(self.rows, self.n)
         return self._reduced_form
 
     def _owned_mask(self) -> int:
@@ -351,38 +330,30 @@ class LinearCode:
         v[o] / G_r[o] at the lowest column o that row r owns, and taking
         that multiple of G_r leaves v alone at every other row's owned
         column.  So v is in the span exactly when subtracting those k
-        multiples leaves 0: no echelon and no reduction.
-
-        Otherwise, and for the zero code, v must reduce to zero by
-        `_insert` against an echelon kept between calls: the one
-        `from_rows` left, or else one built once from the reduced form.  A
-        v outside the span adds a pivot row, which is taken out again.
+        multiples leaves 0.  When the rows do not all own a column, the
+        reduced rows do: each owns its pivot column, where it is 1 and
+        every other reduced row is 0.  The zero code has no rows, and v is
+        in it exactly when v = 0.
         """
         if v.n != self.n:
             raise ValueError("length mismatch")
         owned = self._owned_mask()
         rows = self.rows
-        if rows and all((row.lo | row.hi) & owned for row in rows):
-            lo, hi = v.lo, v.hi
-            for row in rows:
-                bit = (row.lo | row.hi) & owned
-                bit &= -bit
-                c = _entry(lo, hi, bit)
-                if c:
-                    # omega**e * G_r is c at bit, with e = log c - log G_r[bit].
-                    e = (c - _entry(row.lo, row.hi, bit)) % 3
-                    mlo, mhi = _multiples(row.lo, row.hi)[e]
-                    lo ^= mlo
-                    hi ^= mhi
-            return not (lo | hi)
-        echelon = self._echelon
-        if echelon is None:
-            echelon = self._echelon = {1 << p: _multiples(row.lo, row.hi)
-                                       for p, row in zip(*self._reduced())}
-        bit = _insert(echelon, v.lo, v.hi)
-        if bit:
-            del echelon[bit]
-        return not bit
+        if not all((row.lo | row.hi) & owned for row in rows):
+            pivots, rows = self._reduced()
+            owned = sum(1 << p for p in pivots)
+        lo, hi = v.lo, v.hi
+        for row in rows:
+            bit = (row.lo | row.hi) & owned
+            bit &= -bit
+            c = _entry(lo, hi, bit)
+            if c:
+                # omega**e * G_r is c at bit, with e = log c - log G_r[bit].
+                e = (c - _entry(row.lo, row.hi, bit)) % 3
+                mlo, mhi = _multiples(row.lo, row.hi)[e]
+                lo ^= mlo
+                hi ^= mhi
+        return not (lo | hi)
 
     def same_row_space(self, other: "LinearCode") -> bool:
         """Equality as codes, decided on canonical reduced forms."""
@@ -400,7 +371,7 @@ class LinearCode:
         """
         if self._dual is None:
             dual = LinearCode.__new__(LinearCode)
-            dual._fill(self.n, self.n - self.k, None, (), None, self._reduced(), None, None)
+            dual._fill(self.n, self.n - self.k, None, (), None, self._reduced(), None)
             self._dual = dual
         return self._dual
 

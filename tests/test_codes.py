@@ -266,9 +266,12 @@ def test_contains_matches_the_oracle_on_every_code_up_to_length_4(n):
                             (oracle.to_code(mixed, n=n), span),
                             (oracle.to_code(rows, n=n).dual(), dual_span)):
             assert [code.contains(v) for v in planes] == [v in words for v in vectors], rows
-            # Only the echelon path keeps an echelon.
-            paths["owned" if code._echelon is None else "echelon"] += 1
-    assert paths["echelon"] and (paths["owned"] or n == 0), paths
+            # contains reads the rows when each owns a column, as the zero
+            # code's no rows do, and else the reduced rows at their pivots.
+            owns = owns_columns([r.coords() for r in code.rows], n)
+            paths["rows" if owns else "pivots"] += 1
+    # From n = 2 the mixed rows of a k >= 2 code are nonzero at every pivot.
+    assert paths["rows"] and (paths["pivots"] or n < 2), paths
 
 
 @pytest.mark.parametrize("n", (1, 2, 5, 8, 12, 70, 130))
@@ -293,31 +296,73 @@ def test_contains_on_rows_that_own_columns_matches_the_oracle(monkeypatch, n):
         vectors = [GF4Vector.from_coords(r) for r in rows]
         for code in (LinearCode(vectors), LinearCode.from_rows(vectors)):
             assert [code.contains(GF4Vector.from_coords(v)) for v in probes] == want, rows
-            assert code._echelon is None
     # Neither construction nor membership reduced anything.
     assert not calls
 
 
+@pytest.mark.parametrize("n", (12, 70, 130))
+def test_contains_on_rows_that_do_not_own_columns_matches_the_oracle(monkeypatch, n):
+    # Rows nonzero at every column own none of them, so the constructor
+    # reduces them, and contains reads each coefficient at a reduced row's
+    # pivot without reducing again.
+    from gf4codes import codes
+    calls = []
+    real = codes.rref
+    monkeypatch.setattr(codes, "rref", lambda rows, m: calls.append(m) or real(rows, m))
+    rng = random.Random(2700 + n)
+    for _ in range(6 if n <= 12 else 3):
+        k = rng.randint(2, 8)
+        rows = [tuple(rng.randrange(1, 4) for _ in range(n)) for _ in range(k)]
+        assert oracle.orank(rows) == k and not owns_columns(rows, n)
+        probes = [oracle.rand_vec(rng, n) for _ in range(3)]
+        for _ in range(4):
+            word = (0,) * n
+            for row in rows:
+                word = oracle.vadd(word, oracle.vscale(rng.randrange(4), row))
+            moved = list(word)
+            moved[rng.randrange(n)] ^= rng.randrange(1, 4)
+            probes += [word, tuple(moved)]
+        want = [oracle.orank(rows + [v]) == k for v in probes]
+        vectors = [GF4Vector.from_coords(r) for r in rows]
+        for code in (LinearCode(vectors), LinearCode.from_rows(vectors)):
+            calls.clear()
+            assert [code.contains(GF4Vector.from_coords(v)) for v in probes] == want, rows
+            assert not calls
+
+
 def test_from_rows_of_rows_that_own_columns_keeps_no_echelon():
-    # Such rows are independent, so from_rows drops none and makes no
-    # echelon; its reduced form comes from rref on first read.  The same
-    # rows and one dependent row take the forward pass instead, and both
-    # reach the one canonical reduced form, so the dual and the odd dual
-    # vector agree.
+    # Such rows are independent, so from_rows drops none and reduces
+    # nothing; its reduced form comes from rref on first read.  The same
+    # rows and one dependent row take the forward pass instead, which
+    # drops that row and keeps the others, and both reach the one
+    # canonical reduced form, so the dual and the odd dual vector agree.
     rng = random.Random(44)
     for _ in range(40):
         n = rng.randrange(1, 40)
         k = rng.randint(1, min(n, 8))
         vectors = [GF4Vector.from_coords(r) for r in oracle.rand_owning_rows(rng, n, k)]
         code = LinearCode.from_rows(vectors)
-        assert code._echelon is None and code.dropped_rows == () and code.rows == tuple(vectors)
+        assert code._reduced_form is None
+        assert code.dropped_rows == () and code.rows == tuple(vectors)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             forward = LinearCode.from_rows(vectors + [vectors[0].scale(2)])
-        assert forward._echelon is not None and forward.dropped_rows == (k,)
+        assert forward.dropped_rows == (k,) and forward.rows == tuple(vectors)
         assert find_odd_dual_vector(code) == find_odd_dual_vector(forward)
         assert code.dual().rows == forward.dual().rows
         assert code._reduced() == forward._reduced() == rref(code.rows, n)
+
+
+def test_from_rows_attributes_the_dropped_rows_warning_to_its_caller():
+    g = GF4Vector.from_digits("1203")
+    for rows in ([g, g.scale(2)],
+                 # Every row but the dependent last one owns a column.
+                 [GF4Vector.from_digits("1000"), GF4Vector.from_digits("0100"),
+                  GF4Vector.from_digits("1100")]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            LinearCode.from_rows(rows)
+        assert [w.filename for w in caught] == [__file__]
 
 
 # ---------------------------------------------------------------------------
@@ -850,11 +895,7 @@ def test_dual_keeps_no_reference_to_its_code():
         gc.enable()
 
 
-def test_from_rows_finishes_its_own_reduction(monkeypatch):
-    from gf4codes import codes
-    calls = []
-    real = codes.rref
-    monkeypatch.setattr(codes, "rref", lambda rows, n: calls.append(n) or real(rows, n))
+def test_from_rows_finishes_its_own_reduction():
     rng = random.Random(42)
     for _ in range(30):
         n = rng.randrange(1, 40)
@@ -865,14 +906,14 @@ def test_from_rows_finishes_its_own_reduction(monkeypatch):
             warnings.simplefilter("ignore")
             code = LinearCode.from_rows([GF4Vector.from_coords(r) for r in rows])
         reduced = code._reduced()
-        assert not calls
-        assert reduced == real(code.rows, n)
+        assert reduced == rref(code.rows, n)
         assert [tuple(r.coords()) for r in reduced[1]] == list(oracle.orref(rows, n)[1])
 
 
 def test_contains_before_and_after_the_reduced_form_is_read():
-    # A from_rows code answers contains against the echelon its forward
-    # pass left, and later back-substitutes that same echelon.
+    # A from_rows code that dropped a row answers contains the same on
+    # every call, and its reduced form, computed once, is rref's of the
+    # rows it kept.
     rng = random.Random(43)
     for _ in range(40):
         n = rng.randrange(1, 40)

@@ -147,7 +147,7 @@ def _codes():
                                   "dropped-rows", "lazy-dual"))
 def test_vectors_and_codes_pickle_and_copy_round_trip(name):
     # A code is rebuilt from its rows, n and dropped rows alone: whatever it
-    # has cached (reduced form, echelon, dual) is not pickled.
+    # has cached (reduced form, owned columns, dual) is not pickled.
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         fresh = _codes()[name]
         data = pickle.dumps(fresh, protocol)
