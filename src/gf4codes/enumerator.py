@@ -33,11 +33,9 @@ column gives 1 and two proportional columns give 2.  Two columns owned by
 one row, nonzero in that row alone, are proportional, so a row that owns
 two columns gives 2 in O(k) from the supports; failing that, one pass over
 the columns, read as integer keys, decides in O(nk) where enumeration
-costs 4**k/3 words.  With 3n > 4**k - 1 the columns outnumber the points
-of the projective space, so a zero column alone decides between 1 and 2.
-Only d-dual >= 3 is enumerated and transformed, so the MacWilliams
-exactness checks run on that path, on every `macwilliams` call and on
-catalog validation, not on the codes the columns settle.
+costs 4**k/3 words.  Only d-dual >= 3 is enumerated and transformed, so
+the MacWilliams exactness checks run on that path, on every `macwilliams`
+call and on catalog validation, not on the codes the columns settle.
 """
 
 from __future__ import annotations
@@ -177,9 +175,9 @@ _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _lane_width(k: int) -> int:
-    """Bytes per lane for column keys of k base-4 digits below a clear top bit."""
+    """The least power-of-two byte count that holds a key of k base-4 digits."""
     width = 1
-    while 8 * width <= 2 * k:
+    while 8 * width < 2 * k:
         width *= 2
     return width
 
@@ -206,16 +204,6 @@ def _lane_omega(keys: int, n: int, width: int) -> int:
     even = int.from_bytes(b"\x55" * (width * n), "little")
     lo, hi = keys & even, keys >> 1 & even
     return hi | (lo ^ hi) << 1
-
-
-def _lane_min(a: int, b: int, n: int, width: int) -> int:
-    """The lane-wise minimum of two packings whose lanes keep the top bit clear."""
-    bits = 8 * width
-    guard = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    # A lane of (a | guard) - b keeps its guard bit exactly when that lane
-    # of a is at least that of b, and no lane borrows from the next.
-    at_least = ((a | guard) - b & guard) >> (bits - 1)
-    return a ^ (a ^ b) & at_least * ((1 << bits) - 1)
 
 
 def _unpack_lanes(keys: int, n: int, width: int) -> Sequence[int]:
@@ -405,10 +393,10 @@ def _short_dual_words(code: "LinearCode") -> Iterator[GF4Vector]:
     col_j = lambda*col_i that is conj(a) times (conj(lambda) at i, 1 at
     j).  In each class these words span all the others, so they span
     every weight-2 dual word, with or without the owned pair before them.
-    The columns are read all at once as integer keys (`_column_lanes`), and
-    each class is named by the least key of its three nonzero multiples,
-    taken lane-wise on the packed keys, so the scan itself is one dict
-    lookup per column.
+    The columns are read all at once as integer keys (`_column_lanes`),
+    with their omega and omega**2 multiples taken on the packed keys, and
+    each class is named by the least of a column's three keys, so the scan
+    itself is one min and one dict lookup per column.
     """
     n = code.n
     zero = _zero_column(code)
@@ -425,29 +413,27 @@ def _short_dual_words(code: "LinearCode") -> Iterator[GF4Vector]:
             yield GF4Vector(n, (b & 1) * i | (a & 1) * j, (b >> 1) * i | (a >> 1) * j)
             break
     width = _lane_width(code.k)
-    keys = _column_lanes(code.rows, n, width)
-    by_omega = _lane_omega(keys, n, width)
-    classes = _lane_min(_lane_min(keys, by_omega, n, width), _lane_omega(by_omega, n, width),
-                        n, width)
-    lane = (1 << 8 * width) - 1
+    packed = _column_lanes(code.rows, n, width)
+    by_omega = _lane_omega(packed, n, width)
+    keys, *multiples = (_unpack_lanes(lanes, n, width)
+                        for lanes in (packed, by_omega, _lane_omega(by_omega, n, width)))
     first: dict[int, int] = {}
-    for j, point in enumerate(_unpack_lanes(classes, n, width)):
+    for j, point in enumerate(map(min, keys, *multiples)):
         i = first.setdefault(point, j)
         if i != j:
-            a, b = (conj(_lead(keys >> 8 * width * c & lane)) for c in (i, j))
+            a, b = conj(_lead(keys[i])), conj(_lead(keys[j]))
             yield GF4Vector(n, (b & 1) << i | (a & 1) << j, (b >> 1) << i | (a >> 1) << j)
 
 
 def dual_distance(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM) -> int:
     """Minimum distance of the hermitian dual.
 
-    A zero column of G gives 1, two proportional columns give 2, and
-    k = n gives the sentinel n + 1, all without enumeration.  With more
-    columns than the (4**k - 1)/3 points of the projective space, two
-    nonzero columns must be proportional, so the answer is 1 or 2 by the
-    zero column alone, without the column keys.  Otherwise the
-    code is enumerated and its dual enumerator taken by MacWilliams; the
-    dual itself is never enumerated, so this stays exact far past the
+    k = n gives the sentinel n + 1, and a zero column of G gives 1 and two
+    proportional columns give 2 (`_short_dual_words`), all without
+    enumeration.  A code with more columns than the (4**k - 1)/3 points of
+    the projective space always has one or the other.  Otherwise the code
+    is enumerated and its dual enumerator taken by MacWilliams; the dual
+    itself is never enumerated, so this stays exact far past the
     enumeration budget of the dual dimension.
     """
     _check_budget(code.k, max_dim)
@@ -456,8 +442,6 @@ def dual_distance(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM) -> int:
     # The zero code takes the general path, so a length too large for
     # memory fails there with the same error as always.
     if code.k:
-        if 3 * code.n > (1 << 2 * code.k) - 1:
-            return 1 if _zero_column(code) < code.n else 2
         word = next(_short_dual_words(code), None)
         if word is not None:
             return word.weight()

@@ -10,6 +10,7 @@ codes, and random self-dual codes built from block sums plus monomial
 transforms.
 """
 
+import re
 from itertools import combinations, product
 from math import comb
 
@@ -223,6 +224,36 @@ def oowned_pair(rows, n):
             word[i], word[j] = oconj(row[j]), oconj(row[i])
             return tuple(word)
     return None
+
+
+# ---------------------------------------------------------------------------
+# text readers
+# ---------------------------------------------------------------------------
+
+def oparse_matrix(text):
+    """(n, rows) of a matrix text by the README grammar, or None if it is
+    not one: rows as coordinate tuples, dependent ones included.
+
+    Lines end at LF, CRLF or a lone CR.  A line that splits into no
+    whitespace-separated tokens, or whose first token starts with #, is
+    skipped.  The first other line is the header, two tokens that int()
+    reads as n and k with 0 <= k <= n; exactly k lines follow it, each of
+    n tokens from 0, 1, 2 and 3.
+    """
+    lines = [tokens for tokens in map(str.split, re.split("\r\n|\r|\n", text))
+             if tokens and not tokens[0].startswith("#")]
+    if not lines or len(lines[0]) != 2:
+        return None
+    try:
+        n, k = int(lines[0][0]), int(lines[0][1])
+    except ValueError:
+        return None
+    rows = lines[1:]
+    if not 0 <= k <= n or len(rows) != k:
+        return None
+    if any(len(row) != n or not set(row) <= {"0", "1", "2", "3"} for row in rows):
+        return None
+    return n, [tuple(map(int, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------

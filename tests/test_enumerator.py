@@ -211,15 +211,14 @@ def expected_short_words(rows, n):
 
 
 def test_column_classes_fill_every_lane_width():
-    # Keys of k = 3, 7, 15 and 31 digits are the longest that leave the top
-    # bit of a 1-, 2-, 4- and 8-byte lane clear, as the lane-wise minimum
-    # needs, and one digit more takes the next width.  Columns are scaled
+    # Keys of k = 4, 8, 16 and 32 digits fill a 1-, 2-, 4- and 8-byte lane
+    # exactly, and one digit more takes the next width.  Columns are scaled
     # copies of a few points whose last digit is 2 or 3, so the keys use
     # their highest digit, and every word must pair a column with the
     # first of its class, as the columns themselves say, after the owned
     # pair if the last row owns two columns.
     rng = random.Random(50)
-    for k in (3, 4, 7, 8, 15, 16, 31, 32, 33):
+    for k in (3, 4, 5, 8, 9, 16, 17, 32, 33):
         while True:
             points = [oracle.rand_vec(rng, k - 1) + (rng.choice((2, 3)),) for _ in range(k)]
             cols = [oracle.vscale(rng.randrange(1, 4), rng.choice(points)) for _ in range(3 * k)]
@@ -266,7 +265,8 @@ def test_owned_pair_comes_first_and_every_word_is_a_short_dual_word():
 
 
 def test_owned_pair_settles_the_dual_distance_without_column_keys(monkeypatch):
-    # 3n <= 4**k - 1, so pigeonhole does not decide, and no zero column.
+    # 3n <= 4**k - 1, so the columns need not hold two proportional ones,
+    # and no column is zero.
     rng = random.Random(52)
     code = None
     while code is None:
@@ -317,19 +317,15 @@ def test_column_lanes_match_a_per_row_transpose(k):
             assert enumerator._column_lanes(vectors, n, width) == want, (n, width)
 
 
-def test_dual_distance_past_the_projective_points(monkeypatch):
+def test_dual_distance_past_the_projective_points():
     # With 3n > 4**k - 1 the columns outnumber the points of PG(k-1, 4):
-    # the answer is 1 with a zero column, else 2, and no column key is read.
-    def refuse(code):
-        raise AssertionError("the column keys were read")
-
-    monkeypatch.setattr(enumerator, "_short_dual_words", refuse)
+    # the answer is 1 with a zero column, else 2, from the zero column, the
+    # owned pair or the key scan.
     rng = random.Random(51)
     seen = set()
-    for n in range(2, 10):
-        for k in (1, 2):
-            if not 3 * n > 4 ** k - 1:
-                continue
+    sizes = [(n, k) for n in range(2, 10) for k in (1, 2)] + [(n, 3) for n in range(22, 31)]
+    for n, k in sizes:
+        if 3 * n > 4 ** k - 1:
             for trial in range(12):
                 rows = oracle.rand_code_rows(rng, n, k)
                 if trial % 3 == 0:

@@ -8,13 +8,17 @@ string literal that is the first statement of a module, class or
 function body.
 
 Usage: python tools/token_lines.py [PATH ...]
+       python tools/token_lines.py --functions FILE ...
 
 Each PATH is a .py file or a directory searched for them recursively; the
-default is src/gf4codes.  Prints one line per file, then the total.
+default is src/gf4codes.  Prints one line per file, then the total.  With
+--functions, prints one line per top-level def and class of each FILE
+instead: the counted lines from its first decorator to its last line.
 """
 
 from __future__ import annotations
 
+import ast
 import sys
 import tokenize
 from pathlib import Path
@@ -26,6 +30,24 @@ _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
 def token_lines(path: Path) -> int:
     """The number of lines of `path` that hold a token outside comments
     and docstrings."""
+    return len(_counted(path))
+
+
+def function_lines(path: Path) -> list[tuple[str, int]]:
+    """(name, token lines) of each top-level def and class of `path`."""
+    counted = _counted(path)
+    with tokenize.open(path) as source:
+        tree = ast.parse(source.read())
+    counts = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            first = node.decorator_list[0].lineno if node.decorator_list else node.lineno
+            counts.append((node.name, len(counted & set(range(first, node.end_lineno + 1)))))
+    return counts
+
+
+def _counted(path: Path) -> set[int]:
+    """The numbers of the lines that `token_lines` counts."""
     with tokenize.open(path) as source:
         tokens = list(tokenize.generate_tokens(source.readline))
     lines: set[int] = set()
@@ -49,7 +71,7 @@ def token_lines(path: Path) -> int:
         if starts_body and tok.type == tokenize.STRING and _ends_line(tokens, i):
             continue
         lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines)
+    return lines
 
 
 def _ends_line(tokens: list[tokenize.TokenInfo], i: int) -> bool:
@@ -61,6 +83,11 @@ def _ends_line(tokens: list[tokenize.TokenInfo], i: int) -> bool:
 
 
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--functions"]:
+        for f in map(Path, argv[1:]):
+            for name, count in function_lines(f):
+                print(f"{count:6,d}  {f}:{name}")
+        return 0
     paths = [Path(arg) for arg in argv] or [Path("src/gf4codes")]
     files = sorted(f for p in paths for f in (p.rglob("*.py") if p.is_dir() else [p]))
     total = 0
