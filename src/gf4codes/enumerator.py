@@ -44,13 +44,10 @@ import struct
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING
 
+from .codes import LinearCode
 from .errors import BudgetExceededError, ConsistencyError, FormatError, _Record
 from .gf4 import GF4Vector, _entry, _multiples, _records, _stacked, conj
-
-if TYPE_CHECKING:
-    from .codes import LinearCode
 
 # 4**16 = 2**32 codewords, the default enumeration budget.
 DEFAULT_MAX_DIM = 16
@@ -88,7 +85,7 @@ def _check_budget(k: int, max_dim: int) -> None:
             f"codewords; raise max_dim to allow 4^{k}")
 
 
-def weight_enumerator(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM,
+def weight_enumerator(code: LinearCode, *, max_dim: int = DEFAULT_MAX_DIM,
                       partitions: int = 1) -> WeightEnumerator:
     """Exact weight enumerator from the (4**k - 1)/3 projective codewords."""
     if partitions < 1:
@@ -220,12 +217,15 @@ def _parity_tables(m: int) -> tuple[int, list[int], list[int]]:
     the 2**m-bit integer whose bit s is the parity of s & v, for v < 2**m.
 
     Each table is the span of the single-bit patterns of its half of the m
-    bits, so a parity plane costs two lookups and one XOR.
+    bits, so a parity plane costs two lookups and one XOR.  Bit s of
+    pattern t is bit t of s, so the top pattern is the upper half of the
+    2**m bits, and pattern t is pattern t + 1 xor itself shifted down by
+    2**t: adding 2**t to s flips bit t + 1 exactly when bit t is set.  m = 0
+    has no patterns, and both its tables are [0].
     """
-    ones = (1 << (1 << m)) - 1
-    # Bit s of pattern t is bit t of s: runs of 2**t zeros and ones.
-    patterns = [(((1 << (1 << t)) - 1) << (1 << t)) * (ones // ((1 << (2 << t)) - 1))
-                for t in range(m)]
+    patterns = [(1 << (1 << m)) - (1 << (1 << m >> 1))] if m else []
+    for t in reversed(range(m - 1)):
+        patterns.insert(0, patterns[0] ^ patterns[0] >> (1 << t))
 
     def span(base: list[int]) -> list[int]:
         table = [0]
@@ -233,7 +233,7 @@ def _parity_tables(m: int) -> tuple[int, list[int], list[int]]:
             table += [x ^ pattern for x in table]
         return table
 
-    split = m // 2
+    split = m >> 1
     return split, span(patterns[:split]), span(patterns[split:])
 
 
@@ -365,7 +365,7 @@ def _lead(key: int) -> int:
     return key >> ((key & -key).bit_length() - 1 & ~1) & 3
 
 
-def _zero_column(code: "LinearCode") -> int:
+def _zero_column(code: LinearCode) -> int:
     """The first column of G that is zero in every row, or n if none is."""
     support = 0
     for row in code.rows:
@@ -373,7 +373,7 @@ def _zero_column(code: "LinearCode") -> int:
     return (~support & (support + 1)).bit_length() - 1
 
 
-def _short_dual_words(code: "LinearCode") -> Iterator[GF4Vector]:
+def _short_dual_words(code: LinearCode) -> Iterator[GF4Vector]:
     """Dual words of weight 1 or 2 read off the columns of G, lazily.
 
     d-dual is the least number of linearly dependent columns of G.  A zero
@@ -425,7 +425,7 @@ def _short_dual_words(code: "LinearCode") -> Iterator[GF4Vector]:
             yield GF4Vector(n, (b & 1) << i | (a & 1) << j, (b >> 1) << i | (a >> 1) << j)
 
 
-def dual_distance(code: "LinearCode", *, max_dim: int = DEFAULT_MAX_DIM) -> int:
+def dual_distance(code: LinearCode, *, max_dim: int = DEFAULT_MAX_DIM) -> int:
     """Minimum distance of the hermitian dual.
 
     k = n gives the sentinel n + 1, and a zero column of G gives 1 and two

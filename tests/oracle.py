@@ -230,18 +230,26 @@ def oowned_pair(rows, n):
 # text readers
 # ---------------------------------------------------------------------------
 
+def _content_lines(text):
+    """The lines of `text` that every reader reads, by the README grammar.
+
+    Lines end at LF, CRLF or a lone CR.  A line that splits into no
+    whitespace-separated tokens, or whose first token starts with #, is
+    skipped.
+    """
+    return [line for line in re.split("\r\n|\r|\n", text)
+            if line.split() and not line.split()[0].startswith("#")]
+
+
 def oparse_matrix(text):
     """(n, rows) of a matrix text by the README grammar, or None if it is
     not one: rows as coordinate tuples, dependent ones included.
 
-    Lines end at LF, CRLF or a lone CR.  A line that splits into no
-    whitespace-separated tokens, or whose first token starts with #, is
-    skipped.  The first other line is the header, two tokens that int()
-    reads as n and k with 0 <= k <= n; exactly k lines follow it, each of
-    n tokens from 0, 1, 2 and 3.
+    Lines as in `_content_lines`.  The first is the header, two tokens that
+    int() reads as n and k with 0 <= k <= n; exactly k lines follow it,
+    each of n tokens from 0, 1, 2 and 3.
     """
-    lines = [tokens for tokens in map(str.split, re.split("\r\n|\r|\n", text))
-             if tokens and not tokens[0].startswith("#")]
+    lines = [line.split() for line in _content_lines(text)]
     if not lines or len(lines[0]) != 2:
         return None
     try:
@@ -254,6 +262,65 @@ def oparse_matrix(text):
     if any(len(row) != n or not set(row) <= {"0", "1", "2", "3"} for row in rows):
         return None
     return n, [tuple(map(int, row)) for row in rows]
+
+
+def oparse_enumerator(text, n):
+    """(A_0, ..., A_n) of an enumerator text for length n, or None if it is
+    not one.
+
+    Each line of `_content_lines` is two tokens, split at commas and
+    whitespace alike, that int() reads as j and A_j with 0 <= j <= n and
+    A_j >= 0, no j twice.  Weights no line names are zero.
+    """
+    coeffs = [0] * (n + 1)
+    seen = set()
+    for line in _content_lines(text):
+        tokens = [t for t in re.split(r"[,\s]+", line) if t]
+        if len(tokens) != 2:
+            return None
+        try:
+            j, a = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            return None
+        if not 0 <= j <= n or j in seen or a < 0:
+            return None
+        seen.add(j)
+        coeffs[j] = a
+    return tuple(coeffs)
+
+
+def oparse_bounds(text):
+    """{(n, k): (d_lower, d_upper)} of a bounds table, or None if it is not
+    one.
+
+    Each line of `_content_lines` is four comma-separated fields that int()
+    reads, surrounding whitespace and all, as n, k, d_lower and d_upper
+    with d_lower <= d_upper.  A later line for the same (n, k) replaces an
+    earlier one.
+    """
+    table = {}
+    for line in _content_lines(text):
+        fields = line.split(",")
+        if len(fields) != 4:
+            return None
+        try:
+            n, k, lo, hi = map(int, fields)
+        except ValueError:
+            return None
+        if lo > hi:
+            return None
+        table[n, k] = lo, hi
+    return table
+
+
+def oparse_vector_digits(text):
+    """Coordinates of a digit-vector text, or None if it is not one: the
+    tokens of every line of `_content_lines`, in order, read as one string
+    of at least one digit from 0, 1, 2 and 3."""
+    digits = "".join("".join(line.split()) for line in _content_lines(text))
+    if not digits or set(digits) - set("0123"):
+        return None
+    return tuple(map(int, digits))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 import pytest
 
-from gf4codes import (CatalogKeyError, GF4Vector, catalog, circulant,
-                      dual_distance, min_distance, weight_enumerator)
+from gf4codes import (CatalogKeyError, ConsistencyError, GF4Vector, LinearCode, catalog,
+                      circulant, dual_distance, min_distance, weight_enumerator)
 
 REQUIRED = {"c5_2", "c13_6_a", "c13_6_b", "hexacode_shortened"}
 
@@ -89,3 +89,22 @@ def test_validation_enumerates_each_entry_once(monkeypatch):
         calls.clear()
         entry = catalog.get(name)
         assert calls == [entry.code.k]
+
+
+@pytest.mark.parametrize("rows, expected, message", [
+    (("10122", "01221"), catalog.Expected(5, 3, 4, 3), r"built \[5,2\], expected \[5,3\]"),
+    (("10122", "01221"), catalog.Expected(5, 2, 4, 3, self_dual=True), "expected self-dual"),
+    (("10", "01"), catalog.Expected(2, 2, 1, 3), "expected self-orthogonal"),
+    (("10122", "01221"), catalog.Expected(5, 2, 3, 3), "minimum distance 4, expected 3"),
+    (("10122", "01221"), catalog.Expected(5, 2, 4, 2), "dual distance 3, expected 2"),
+])
+def test_validation_rejects_an_entry_that_misses_its_expectations(monkeypatch, rows, expected,
+                                                                  message):
+    # A fresh name, so that nothing built here reaches the cache.
+    def build():
+        return LinearCode([GF4Vector.from_digits(r) for r in rows]), "test entry", expected
+
+    monkeypatch.setitem(catalog._BUILDERS, "broken_entry", build)
+    with pytest.raises(ConsistencyError, match=f"^catalog entry broken_entry: {message}$"):
+        catalog.get("broken_entry")
+    assert "broken_entry" not in catalog._cache

@@ -251,6 +251,16 @@ def test_quantum_degenerate_summary():
     assert "degenerate: true" in proc.stdout
 
 
+def test_quantum_inconsistency_exits_5(monkeypatch, capsys):
+    from gf4codes import cli, quantum
+    # A dual enumerator equal to the code's, as if C were its own dual at n != 2k.
+    monkeypatch.setattr(quantum, "macwilliams", lambda w, k: w)
+    assert cli.main(["quantum", "catalog:c5_2"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dual equals the code but n != 2k\n"
+
+
 def test_quantum_bounds_annotation(tmp_path):
     doubled = tmp_path / "doubled.txt"
     run("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2",
@@ -499,14 +509,15 @@ def test_check_on_a_huge_zero_code(header):
 def test_only_the_standard_library_is_imported():
     # -S keeps site-packages' start-up hooks out of the picture.  The second
     # line names the slow-to-import standard modules that CLI start-up must
-    # not pull in: `dataclasses` brings the other four.
+    # not pull in: `dataclasses` brings the next four, and `typing` is the
+    # largest single import left once they are gone.
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, gf4codes.cli\n"
          "print(sorted(m for m in sys.modules if m != '__main__'\n"
          "             and m.partition('.')[0] not in sys.stdlib_module_names\n"
          "             and m.partition('.')[0] != 'gf4codes'))\n"
-         "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
+         "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing')\n"
          "       if m in sys.modules])"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

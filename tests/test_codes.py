@@ -126,6 +126,19 @@ def test_direct_constructor_names_a_row_of_the_wrong_length():
         LinearCode([GF4Vector(4, 1), GF4Vector(5, 2)])
 
 
+def test_direct_constructor_needs_a_length_it_can_hold():
+    with pytest.raises(ValueError, match="^length required for a code with no rows$"):
+        LinearCode(())
+    with pytest.raises(ValueError, match="^code length must be nonnegative$"):
+        LinearCode([], n=-1)
+
+
+def test_code_equality_against_another_type_is_false():
+    code = LinearCode([GF4Vector.from_digits("123")])
+    assert code.__eq__(code.rows) is NotImplemented
+    assert code != code.rows and code != "3 1\n1 2 3\n"
+
+
 def test_direct_constructor_rejects_dependent_rows():
     g = GF4Vector.from_digits("123")
     with pytest.raises(ValueError):

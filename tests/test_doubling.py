@@ -194,6 +194,13 @@ def test_adjoin_rejects_an_adjoined_row_that_is_not_orthogonal():
         doubling._adjoin(code.rows, 5, [allones(5), outside])
 
 
+def test_adjoin_rejects_dependent_rows():
+    row = c5_2().rows[0]
+    with pytest.raises(PreconditionError,
+                       match="^constructed generator matrix is rank-deficient$"):
+        doubling._adjoin([row, row], 5, [])
+
+
 def test_auxiliary_of_c5_2_is_self_dual():
     aux = auxiliary_code(c5_2(), allones(5))
     assert (aux.n, aux.k) == (6, 3)

@@ -145,6 +145,24 @@ def test_bitsliced_blocks_match_the_walk():
         assert weight_enumerator(code) == weight_enumerator(code, partitions=10 ** 12), (n, k)
 
 
+def test_parity_tables_match_the_division_formula():
+    # Pattern t as runs of 2**t zeros and ones, one division of the 2**m-bit
+    # all-ones integer each: the closed form the halving replaces.
+    def span(base):
+        table = [0]
+        for pattern in base:
+            table += [x ^ pattern for x in table]
+        return table
+
+    for m in range(15):
+        ones = (1 << (1 << m)) - 1
+        patterns = [(((1 << (1 << t)) - 1) << (1 << t)) * (ones // ((1 << (2 << t)) - 1))
+                    for t in range(m)]
+        split = m // 2
+        assert enumerator._parity_tables(m) == (
+            split, span(patterns[:split]), span(patterns[split:])), m
+
+
 def test_bitsliced_count_holds_few_planes_at_once():
     # 4^7 >= 5 * 3000, so block 7 of a [3000, 8] code is one sliced chunk
     # of 2 KiB planes.  The adder holds at most two planes a level, and the
@@ -508,3 +526,5 @@ def test_parse_enumerator_errors():
         parse_enumerator("3 -2\n", 5)
     with pytest.raises(FormatError):
         parse_enumerator("x y\n", 5)
+    with pytest.raises(ValueError, match="^length must be nonnegative$"):
+        parse_enumerator("0 1\n", -1)

@@ -125,6 +125,8 @@ def test_digits_roundtrip():
         GF4Vector.from_digits("0124")
     with pytest.raises(ValueError):
         GF4Vector.from_coords([4])
+    with pytest.raises(ValueError, match="^vector length must be nonnegative$"):
+        GF4Vector(-1)
 
 
 @pytest.mark.parametrize("n", (0, 1, 29, 30, 31, 60, 61, 64, 65, 130, 402))
@@ -158,6 +160,8 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != GF4Vector.from_digits("01230")
     assert a != GF4Vector.from_digits("0122")
+    assert a.__eq__(a.coords()) is NotImplemented
+    assert a != a.coords() and a != "0123"
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +339,8 @@ def test_cyclic_shift():
     for _ in range(6):
         w = cyclic_shift(w)
     assert w == v
+    empty = GF4Vector(0)
+    assert cyclic_shift(empty) is empty
 
 
 def test_coordinate_sum_matches_naive():

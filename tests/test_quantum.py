@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from gf4codes import (FormatError, GF4Vector, LinearCode, PreconditionError,
-                      QuantumParams, catalog, double_even, double_odd,
-                      double_pair, dual_distance, parse_bounds_table, quantum_params)
+from gf4codes import (ConsistencyError, FormatError, GF4Vector, LinearCode, PreconditionError,
+                      QuantumParams, WeightEnumerator, catalog, double_even, double_odd,
+                      double_pair, dual_distance, parse_bounds_table, quantum, quantum_params)
 
 import oracle
 from test_doubling import shortened_so_pair
@@ -115,6 +115,18 @@ def test_weight_two_dual_words_inside_the_code():
     code = LinearCode(rows)
     assert dual_distance(code) == 2
     assert quantum_params(code) == QuantumParams(15, 1, 5, 2, False, False)
+
+
+@pytest.mark.parametrize("dual, message", [
+    # Fewer weight-4 words in the dual than in the code.
+    (lambda w: WeightEnumerator((1,) + (0,) * w.n), "dual enumerator is smaller than the code's"),
+    (lambda w: w, "dual equals the code but n != 2k"),
+])
+def test_inconsistent_dual_enumerators_are_internal_errors(monkeypatch, dual, message):
+    # c5_2 has d_dual = 3, so both enumerators are read.
+    monkeypatch.setattr(quantum, "macwilliams", lambda w, k: dual(w))
+    with pytest.raises(ConsistencyError, match=message):
+        quantum_params(catalog.get("c5_2").code)
 
 
 # ---------------------------------------------------------------------------
