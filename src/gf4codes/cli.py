@@ -8,13 +8,19 @@ matrix/enumerator text, so identical invocations are byte-identical.
 Exit codes: 0 success, 2 usage or unreadable file, 3 precondition or
 format violation, 4 enumeration budget or memory exceeded, 5 internal
 consistency failure.
+
+Every verb and argument is written once, in `_VERBS`.  Plain argv is read
+from that table without importing argparse, whose import and first parser
+cost a command 5-7 ms with the default `site` and about 12 ms under `-S`;
+argparse builds its parser from the same table for the rest, so `--help`,
+usage lines and argument errors are its own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import warnings
+from types import SimpleNamespace
 
 from . import catalog
 from .codes import LinearCode, circulant, emit_matrix, parse_matrix
@@ -92,7 +98,7 @@ def _write_matrix(code: LinearCode, emit_path: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     code = _load_code(args.input)
     so = code.is_hermitian_self_orthogonal()
     print(f"n: {code.n}")
@@ -104,7 +110,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if so else EXIT_PRECONDITION
 
 
-def _cmd_wenum(args: argparse.Namespace) -> int:
+def _cmd_wenum(args: SimpleNamespace) -> int:
     if args.partitions < 1:
         raise UsageError(f"--partitions must be at least 1, got {args.partitions}")
     code = _load_code(args.input)
@@ -113,7 +119,7 @@ def _cmd_wenum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_macwilliams(args: argparse.Namespace) -> int:
+def _cmd_macwilliams(args: SimpleNamespace) -> int:
     if args.n < 0 or args.k < 0:
         raise UsageError(f"--n and --k must be nonnegative, got {args.n} and {args.k}")
     w = parse_enumerator(_read_text(args.input), args.n)
@@ -121,7 +127,7 @@ def _cmd_macwilliams(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_dual_distance(args: argparse.Namespace) -> int:
+def _cmd_dual_distance(args: SimpleNamespace) -> int:
     code = _load_code(args.input)
     d = dual_distance(code, max_dim=args.max_dim)
     print(f"dual_distance: {d}")
@@ -130,7 +136,7 @@ def _cmd_dual_distance(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_shorten(args: argparse.Namespace) -> int:
+def _cmd_shorten(args: SimpleNamespace) -> int:
     code = _load_code(args.input)
     if not 0 <= args.at < code.n:
         raise PreconditionError(f"position {args.at} outside 0..{code.n - 1}")
@@ -138,12 +144,12 @@ def _cmd_shorten(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_circulant(args: argparse.Namespace) -> int:
+def _cmd_circulant(args: SimpleNamespace) -> int:
     _write_matrix(circulant(_parse_vector_digits(args.first_row), args.k), args.emit)
     return EXIT_OK
 
 
-def _cmd_double(args: argparse.Namespace) -> int:
+def _cmd_double(args: SimpleNamespace) -> int:
     c1 = _load_code(args.a)
     c2 = _load_code(args.b)
     x1 = _load_x(args.x1, c1)
@@ -169,7 +175,7 @@ def _cmd_double(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_quantum(args: argparse.Namespace) -> int:
+def _cmd_quantum(args: SimpleNamespace) -> int:
     code = _load_code(args.input)
     qp = quantum_params(code, max_dim=args.max_dim)
     # A malformed bounds table fails before any line is written.
@@ -194,7 +200,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: SimpleNamespace) -> int:
     if args.name is None:
         for name in catalog.names():
             entry = catalog.get(name)
@@ -213,88 +219,128 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_max_dim(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, metavar="K",
-                   help=f"enumeration budget: allow up to 4^K codewords "
-                        f"(default {DEFAULT_MAX_DIM})")
+# Every verb: its name, its help line, its command, and its arguments in the
+# order `--help` lists them.  An argument is its flag or positional name and
+# the keywords `add_argument` takes; `build_parser` hands them to argparse as
+# they are, and `_read_plain_args` reads the same keywords.
+_INPUT = ("input", dict(help="matrix file, '-' for stdin, or catalog:NAME"))
+_MAX_DIM = ("--max-dim", dict(type=int, default=DEFAULT_MAX_DIM, metavar="K",
+                              help=f"enumeration budget: allow up to 4^K codewords "
+                                   f"(default {DEFAULT_MAX_DIM})"))
+_CSV = ("--csv", dict(action="store_true", help="emit 'j,A_j' lines"))
+_EMIT = ("--emit", dict(metavar="FILE", help="write the matrix to FILE"))
+
+_VERBS = (
+    ("check", "report self-orthogonality and evenness", _cmd_check, (_INPUT,)),
+    ("wenum", "exact weight enumerator", _cmd_wenum, (
+        _INPUT, _MAX_DIM,
+        ("--partitions", dict(type=int, default=1, metavar="P",
+                              help="split the enumeration into P chunks (same result)")),
+        _CSV)),
+    ("macwilliams", "dual enumerator from 'j A_j' lines", _cmd_macwilliams, (
+        ("input", dict(help="enumerator file ('j A_j' lines) or '-'")),
+        ("--n", dict(type=int, required=True, help="code length")),
+        ("--k", dict(type=int, required=True, help="code dimension")),
+        _CSV)),
+    ("dual-distance", "minimum distance of the hermitian dual", _cmd_dual_distance,
+     (_INPUT, _MAX_DIM)),
+    ("shorten", "shorten at a coordinate", _cmd_shorten, (
+        _INPUT,
+        ("--at", dict(type=int, required=True, metavar="POS",
+                      help="coordinate to shorten at (0-based)")),
+        _EMIT)),
+    ("circulant", "code from cyclic shifts of a row", _cmd_circulant, (
+        ("--first-row", dict(required=True, metavar="DIGITS",
+                             help="row digits, e.g. '0 0 1 2 3' or '00123'")),
+        ("--k", dict(type=int, required=True, help="number of shift rows")),
+        _EMIT)),
+    ("double", "doubled self-orthogonal code from two inputs", _cmd_double, (
+        ("--a", dict(required=True, metavar="INPUT", help="first code")),
+        ("--b", dict(required=True, metavar="INPUT", help="second code")),
+        ("--x1", dict(default="search", metavar="X",
+                      help="odd dual vector for the first code: 'allones', "
+                           "'search', or a digits file (default search)")),
+        ("--x2", dict(default="search", metavar="X",
+                      help="odd dual vector for the second code (default search)")),
+        ("--mode", dict(choices=("odd", "even"), default="even",
+                        help="odd: [2n+1,k+1]; even: [2n+2,k+2] (default even)")),
+        _EMIT, _MAX_DIM)),
+    ("quantum", "quantum [[n,k,d]] parameters", _cmd_quantum, (
+        _INPUT, _MAX_DIM,
+        ("--bounds", dict(metavar="FILE",
+                          help="CSV table 'n,k,d_lower,d_upper' for annotation")))),
+    ("catalog", "list built-in codes or show one", _cmd_catalog, (
+        ("name", dict(nargs="?", help="entry name (omit to list all)")),)),
+)
 
 
-def _add_input(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input", help="matrix file, '-' for stdin, or catalog:NAME")
+def _read_plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` returns, read without argparse.
+
+    Only plain argv is read: a verb, then positionals (`-` and the empty
+    string among them) and exact flags of that verb, each flag at most once
+    with its value present and not starting with `-` unless it is `-`, every
+    value valid for its type and choices, and every required argument given.
+    Anything else gives None: -h, --flag=value, an abbreviation, `--`, a
+    negative number, a repeated flag, or an error.  argparse reads those, so
+    its help, usage lines and error messages stay its own.
+    """
+    verb = next((v for v in _VERBS if argv and v[0] == argv[0]), None)
+    if verb is None:
+        return None
+    name, _, func, arguments = verb
+    options = {flag: kwargs for flag, kwargs in arguments if flag[0] == "-"}
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            positionals.append(token)
+        elif token not in options or token in given:
+            return None
+        elif options[token].get("action") == "store_true":
+            given[token] = True
+        else:
+            value = given[token] = next(tokens, None)
+            if value is None or value[:1] == "-" and value != "-":
+                return None
+    values = {"verb": name, "func": func}
+    slots = iter(positionals)
+    for flag, kwargs in arguments:
+        positional = flag[0] != "-"
+        value = next(slots, None) if positional else given.get(flag)
+        dest = flag if positional else flag.lstrip("-").replace("-", "_")
+        if value is None:
+            if kwargs.get("required", positional and "nargs" not in kwargs):
+                return None
+            store_true = kwargs.get("action") == "store_true"
+            values[dest] = kwargs.get("default", False if store_true else None)
+            continue
+        if kwargs.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    if next(slots, None) is not None:
+        return None
+    return SimpleNamespace(**values)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of `_VERBS`, which imports argparse when called."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="gf4codes",
         description="Quaternary linear codes: self-orthogonality, doubling, "
                     "weight enumerators, quantum code parameters.")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-
-    p = sub.add_parser("check", help="report self-orthogonality and evenness")
-    _add_input(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("wenum", help="exact weight enumerator")
-    _add_input(p)
-    _add_max_dim(p)
-    p.add_argument("--partitions", type=int, default=1, metavar="P",
-                   help="split the enumeration into P chunks (same result)")
-    p.add_argument("--csv", action="store_true", help="emit 'j,A_j' lines")
-    p.set_defaults(func=_cmd_wenum)
-
-    p = sub.add_parser("macwilliams", help="dual enumerator from 'j A_j' lines")
-    p.add_argument("input", help="enumerator file ('j A_j' lines) or '-'")
-    p.add_argument("--n", type=int, required=True, help="code length")
-    p.add_argument("--k", type=int, required=True, help="code dimension")
-    p.add_argument("--csv", action="store_true", help="emit 'j,A_j' lines")
-    p.set_defaults(func=_cmd_macwilliams)
-
-    p = sub.add_parser("dual-distance",
-                       help="minimum distance of the hermitian dual")
-    _add_input(p)
-    _add_max_dim(p)
-    p.set_defaults(func=_cmd_dual_distance)
-
-    p = sub.add_parser("shorten", help="shorten at a coordinate")
-    _add_input(p)
-    p.add_argument("--at", type=int, required=True, metavar="POS",
-                   help="coordinate to shorten at (0-based)")
-    p.add_argument("--emit", metavar="FILE", help="write the matrix to FILE")
-    p.set_defaults(func=_cmd_shorten)
-
-    p = sub.add_parser("circulant", help="code from cyclic shifts of a row")
-    p.add_argument("--first-row", required=True, metavar="DIGITS",
-                   help="row digits, e.g. '0 0 1 2 3' or '00123'")
-    p.add_argument("--k", type=int, required=True, help="number of shift rows")
-    p.add_argument("--emit", metavar="FILE", help="write the matrix to FILE")
-    p.set_defaults(func=_cmd_circulant)
-
-    p = sub.add_parser("double",
-                       help="doubled self-orthogonal code from two inputs")
-    p.add_argument("--a", required=True, metavar="INPUT", help="first code")
-    p.add_argument("--b", required=True, metavar="INPUT", help="second code")
-    p.add_argument("--x1", default="search", metavar="X",
-                   help="odd dual vector for the first code: 'allones', "
-                        "'search', or a digits file (default search)")
-    p.add_argument("--x2", default="search", metavar="X",
-                   help="odd dual vector for the second code (default search)")
-    p.add_argument("--mode", choices=("odd", "even"), default="even",
-                   help="odd: [2n+1,k+1]; even: [2n+2,k+2] (default even)")
-    p.add_argument("--emit", metavar="FILE", help="write the matrix to FILE")
-    _add_max_dim(p)
-    p.set_defaults(func=_cmd_double)
-
-    p = sub.add_parser("quantum", help="quantum [[n,k,d]] parameters")
-    _add_input(p)
-    _add_max_dim(p)
-    p.add_argument("--bounds", metavar="FILE",
-                   help="CSV table 'n,k,d_lower,d_upper' for annotation")
-    p.set_defaults(func=_cmd_quantum)
-
-    p = sub.add_parser("catalog", help="list built-in codes or show one")
-    p.add_argument("name", nargs="?", help="entry name (omit to list all)")
-    p.set_defaults(func=_cmd_catalog)
-
+    for name, summary, func, arguments in _VERBS:
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -304,7 +350,11 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv, SimpleNamespace())
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

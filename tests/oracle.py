@@ -7,14 +7,21 @@ agreement with the package is evidence, not tautology.
 
 Also hosts the randomized generators shared by the test modules: random
 codes, and random self-dual codes built from block sums plus monomial
-transforms.
+transforms; and the CLI's argparse parser as it was written out by hand,
+one `add_argument` call per argument, which the table-built parser and the
+plain-argv reader of `gf4codes.cli` are checked against.
 """
 
+import argparse
 import re
 from itertools import combinations, product
 from math import comb
 
 from gf4codes import GF4Vector, LinearCode
+from gf4codes.cli import (_cmd_catalog, _cmd_check, _cmd_circulant, _cmd_double,
+                          _cmd_dual_distance, _cmd_macwilliams, _cmd_quantum, _cmd_shorten,
+                          _cmd_wenum)
+from gf4codes.enumerator import DEFAULT_MAX_DIM
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +402,92 @@ def rand_self_dual_rows(rng, length):
 
 def to_code(rows, n=None):
     return LinearCode([GF4Vector.from_coords(r) for r in rows], n=n)
+
+
+# ---------------------------------------------------------------------------
+# the CLI parser, one hand-written call per argument
+# ---------------------------------------------------------------------------
+
+def _add_max_dim(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, metavar="K",
+                   help=f"enumeration budget: allow up to 4^K codewords "
+                        f"(default {DEFAULT_MAX_DIM})")
+
+
+def _add_input(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="matrix file, '-' for stdin, or catalog:NAME")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gf4codes",
+        description="Quaternary linear codes: self-orthogonality, doubling, "
+                    "weight enumerators, quantum code parameters.")
+    sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+
+    p = sub.add_parser("check", help="report self-orthogonality and evenness")
+    _add_input(p)
+    p.set_defaults(func=_cmd_check)
+
+    p = sub.add_parser("wenum", help="exact weight enumerator")
+    _add_input(p)
+    _add_max_dim(p)
+    p.add_argument("--partitions", type=int, default=1, metavar="P",
+                   help="split the enumeration into P chunks (same result)")
+    p.add_argument("--csv", action="store_true", help="emit 'j,A_j' lines")
+    p.set_defaults(func=_cmd_wenum)
+
+    p = sub.add_parser("macwilliams", help="dual enumerator from 'j A_j' lines")
+    p.add_argument("input", help="enumerator file ('j A_j' lines) or '-'")
+    p.add_argument("--n", type=int, required=True, help="code length")
+    p.add_argument("--k", type=int, required=True, help="code dimension")
+    p.add_argument("--csv", action="store_true", help="emit 'j,A_j' lines")
+    p.set_defaults(func=_cmd_macwilliams)
+
+    p = sub.add_parser("dual-distance",
+                       help="minimum distance of the hermitian dual")
+    _add_input(p)
+    _add_max_dim(p)
+    p.set_defaults(func=_cmd_dual_distance)
+
+    p = sub.add_parser("shorten", help="shorten at a coordinate")
+    _add_input(p)
+    p.add_argument("--at", type=int, required=True, metavar="POS",
+                   help="coordinate to shorten at (0-based)")
+    p.add_argument("--emit", metavar="FILE", help="write the matrix to FILE")
+    p.set_defaults(func=_cmd_shorten)
+
+    p = sub.add_parser("circulant", help="code from cyclic shifts of a row")
+    p.add_argument("--first-row", required=True, metavar="DIGITS",
+                   help="row digits, e.g. '0 0 1 2 3' or '00123'")
+    p.add_argument("--k", type=int, required=True, help="number of shift rows")
+    p.add_argument("--emit", metavar="FILE", help="write the matrix to FILE")
+    p.set_defaults(func=_cmd_circulant)
+
+    p = sub.add_parser("double",
+                       help="doubled self-orthogonal code from two inputs")
+    p.add_argument("--a", required=True, metavar="INPUT", help="first code")
+    p.add_argument("--b", required=True, metavar="INPUT", help="second code")
+    p.add_argument("--x1", default="search", metavar="X",
+                   help="odd dual vector for the first code: 'allones', "
+                        "'search', or a digits file (default search)")
+    p.add_argument("--x2", default="search", metavar="X",
+                   help="odd dual vector for the second code (default search)")
+    p.add_argument("--mode", choices=("odd", "even"), default="even",
+                   help="odd: [2n+1,k+1]; even: [2n+2,k+2] (default even)")
+    p.add_argument("--emit", metavar="FILE", help="write the matrix to FILE")
+    _add_max_dim(p)
+    p.set_defaults(func=_cmd_double)
+
+    p = sub.add_parser("quantum", help="quantum [[n,k,d]] parameters")
+    _add_input(p)
+    _add_max_dim(p)
+    p.add_argument("--bounds", metavar="FILE",
+                   help="CSV table 'n,k,d_lower,d_upper' for annotation")
+    p.set_defaults(func=_cmd_quantum)
+
+    p = sub.add_parser("catalog", help="list built-in codes or show one")
+    p.add_argument("name", nargs="?", help="entry name (omit to list all)")
+    p.set_defaults(func=_cmd_catalog)
+
+    return parser

@@ -3,9 +3,10 @@
 import subprocess
 import sys
 
+import oracle
 import pytest
 
-from gf4codes import (FormatError, MatrixFormatError, catalog, emit_matrix,
+from gf4codes import (FormatError, MatrixFormatError, catalog, cli, emit_matrix,
                       parse_bounds_table, parse_enumerator, parse_matrix)
 
 C5_2_TEXT = "5 2\n1 0 1 2 2\n0 1 2 2 1\n"
@@ -314,6 +315,91 @@ def test_catalog_detail():
 
 
 # ---------------------------------------------------------------------------
+# arguments, help and usage errors
+# ---------------------------------------------------------------------------
+
+def _parsers(parser):
+    """The top-level parser under the name None, then each verb's parser."""
+    return {None: parser, **next(a for a in parser._actions if a.dest == "verb").choices}
+
+
+@pytest.mark.parametrize("verb", [None, "check", "wenum", "macwilliams", "dual-distance",
+                                  "shorten", "circulant", "double", "quantum", "catalog"])
+def test_help_and_usage_match_the_hand_written_parser(monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    table, reference = _parsers(cli.build_parser()), _parsers(oracle.build_parser())
+    assert table.keys() == reference.keys()
+    assert table[verb].format_help() == reference[verb].format_help()
+    assert table[verb].format_usage() == reference[verb].format_usage()
+
+
+# (test id, arguments) of argv that argparse rejects with its usage line.
+USAGE_ERRORS = [
+    ("no verb", ()),
+    ("unknown verb", ("frobnicate", "catalog:c5_2")),
+    ("double without --a", ("double", "--b", "catalog:c5_2")),
+    ("double without --b", ("double", "--a", "catalog:c5_2")),
+    ("shorten without --at", ("shorten", "catalog:c5_2")),
+    ("macwilliams without --n", ("macwilliams", "-", "--k", "1")),
+    ("macwilliams without --k", ("macwilliams", "-", "--n", "5")),
+    ("circulant without --first-row", ("circulant", "--k", "1")),
+    ("bad int", ("wenum", "catalog:c5_2", "--max-dim", "x")),
+    ("bad --mode", ("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--mode", "both")),
+    ("extra positional", ("check", "catalog:c5_2", "catalog:c5_2")),
+    ("ambiguous abbreviation",
+     ("double", "--a", "catalog:c5_2", "--b", "catalog:c5_2", "--m", "odd")),
+    ("--a=x", ("double", "--a=x")),
+]
+
+
+@pytest.mark.parametrize("args", [row[1] for row in USAGE_ERRORS],
+                         ids=[row[0] for row in USAGE_ERRORS])
+def test_usage_errors_match_the_hand_written_parser(monkeypatch, capsys, args):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        oracle.build_parser().parse_args(list(args))
+    out, err = capsys.readouterr()
+    assert (out, exc.value.code) == ("", 2)
+    proc = run(*args)
+    assert (proc.stdout, proc.stderr, proc.returncode) == (out, err, 2)
+    # The usage line, then `gf4codes[ VERB]: error: ...`.
+    assert err.startswith("usage: gf4codes") and err.splitlines()[-1].startswith("gf4codes")
+
+
+def test_plain_argv_is_read_without_argparse():
+    read = cli._read_plain_args
+    assert vars(read(["catalog"])) == {"verb": "catalog", "func": cli._cmd_catalog, "name": None}
+    assert vars(read(["check", "-"])) == {"verb": "check", "func": cli._cmd_check, "input": "-"}
+    assert vars(read(["wenum", "", "--csv", "--max-dim", "+3"])) == {
+        "verb": "wenum", "func": cli._cmd_wenum, "input": "", "max_dim": 3, "partitions": 1,
+        "csv": True}
+    assert vars(read(["double", "--mode", "odd", "--b", "-", "--a", "catalog:c5_2"])) == {
+        "verb": "double", "func": cli._cmd_double, "a": "catalog:c5_2", "b": "-",
+        "x1": "search", "x2": "search", "mode": "odd", "emit": None, "max_dim": 16}
+    # Left to argparse: help, --flag=value, an abbreviation, `--`, a negative
+    # number, a repeated flag, and errors.
+    for argv in (["--help"], ["check", "-h"], ["wenum", "-", "--max-dim=3"],
+                 ["wenum", "-", "--max", "3"], ["check", "--", "-"],
+                 ["shorten", "-", "--at", "-1"], ["wenum", "-", "--csv", "--csv"],
+                 [], ["check"], ["check", "a", "b"], ["macwilliams", "-", "--n", "5"],
+                 ["wenum", "-", "--partitions", "x"], ["double", "--a", "-", "--b", "-",
+                                                       "--mode", "both"]):
+        assert read(argv) is None, argv
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["gf4codes", "catalog", "c5_2"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith("name: c5_2\n")
+    # argparse reads what the plain reader leaves to it from sys.argv too.
+    monkeypatch.setattr(sys, "argv", ["gf4codes", "catalog", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gf4codes catalog ")
+
+
+# ---------------------------------------------------------------------------
 # text formats
 # ---------------------------------------------------------------------------
 
@@ -522,3 +608,31 @@ def test_only_the_standard_library_is_imported():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
+
+
+def test_readme_commands_leave_argparse_out(tmp_path):
+    # Plain argv is read without argparse, which imports gettext, and whose
+    # first parser imports locale: about 11 ms of the two-command pipeline.
+    emitted = str(tmp_path / "c28.txt")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, gf4codes.cli\n"
+         "slow = ('argparse', 'gettext', 'locale')\n"
+         "print([m for m in slow if m in sys.modules])\n"
+         "codes = [gf4codes.cli.main(['double', '--a', 'catalog:c13_6_a',\n"
+         "                            '--b', 'catalog:c13_6_b', '--x1', 'allones',\n"
+         "                            '--x2', 'allones', '--emit', sys.argv[1]]),\n"
+         "         gf4codes.cli.main(['quantum', sys.argv[1]])]\n"
+         "print(codes, [m for m in slow if m in sys.modules])",
+         emitted],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert "[[28,12,6]] pure" in lines
+    assert lines[-1] == "[0, 0] []"
+    # Help still comes from argparse.
+    proc = subprocess.run([sys.executable, "-S", "-m", "gf4codes", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: gf4codes ")

@@ -60,6 +60,13 @@ def test_parse_errors_carry_line_numbers():
         parse_matrix("2 2\n1 0\n0 1\n1 1\n")
 
 
+def test_header_integers_are_read_by_int():
+    # The README grammar: a sign and non-ASCII decimal digits are accepted.
+    plain = parse_matrix("5 1\n1 0 1 2 2\n")
+    assert parse_matrix("+5 1\n1 0 1 2 2\n") == plain
+    assert parse_matrix("\uff15 1\n1 0 1 2 2\n") == plain
+
+
 def test_parse_header_bounds():
     with pytest.raises(MatrixFormatError):
         parse_matrix("2 3\n1 0\n0 1\n1 1\n")

@@ -10,6 +10,9 @@ exactly the texts that its reference in `oracle` reads by the README
 grammar, raise nothing but its documented error on the rest, and
 round-trip what it accepts through its writer.  A sample of the same
 inputs then goes through `cli.main` in this process.
+
+Seeded argv over every verb and flag check the CLI's plain-argv reader and
+its table-built parser against the hand-written parser in `oracle`.
 """
 
 import io
@@ -222,3 +225,58 @@ def test_cli_reports_every_mutated_input_with_one_error_line(monkeypatch, capsys
         else:
             assert len(lines) == 1 and lines[0].startswith("error: "), (args, err)
     assert exits >= {0, 3, 5}, exits
+
+
+# Values for the argv fuzz, besides each flag's plain ones: forms only
+# argparse reads, and forms it rejects.
+ODD_VALUES = ("-", "", "-1", "+3", "1_0", "\uff15", " 2", "x", "--", "-h", "--help",
+              "--max-dim=3", "--ma", "--a=x")
+
+
+def plain_value(rng, kwargs):
+    if kwargs.get("type") is int:
+        return rng.choice(("0", "3", "16"))
+    return rng.choice(kwargs.get("choices", ("catalog:c5_2", "out.txt", "-", "")))
+
+
+def test_plain_argv_reader_agrees_with_the_hand_written_parser(capsys):
+    rng = random.Random(58)
+    reference, table = oracle.build_parser(), cli.build_parser()
+    verbs = {name: arguments for name, _, _, arguments in cli._VERBS}
+    every_flag = sorted({flag for arguments in verbs.values() for flag, _ in arguments
+                         if flag[0] == "-"})
+    outcomes = {"read": 0, "left to argparse": 0, "rejected": 0}
+    for _ in range(2000):
+        verb = rng.choice(list(verbs)) if rng.random() < 0.97 else rng.choice(ODD_VALUES)
+        words = []
+        for flag, kwargs in verbs.get(verb, ()):
+            if flag[0] != "-":
+                words += [[plain_value(rng, kwargs)]] * (rng.random() < 0.9)
+            elif rng.random() < 0.85:
+                value = plain_value(rng, kwargs) if rng.random() < 0.8 else rng.choice(ODD_VALUES)
+                words.append([flag] if kwargs.get("action") else [flag, value])
+                if rng.random() < 0.15:
+                    # An abbreviation, --flag=value, or another verb's flag.
+                    words[-1][:2] = [rng.choice((flag[:4], f"{flag}={value}",
+                                                 rng.choice(every_flag)))]
+        if rng.random() < 0.1 and words:
+            # A repeated flag, or one positional too many.
+            words.append(list(rng.choice(words)))
+        rng.shuffle(words)
+        argv = [verb] + [token for word in words for token in word]
+        try:
+            want = vars(reference.parse_args(argv))
+        except SystemExit:
+            want = None
+        said = capsys.readouterr()
+        got = cli._read_plain_args(argv)
+        # The plain reader reads exactly what argparse reads, or nothing.
+        if got is not None:
+            assert vars(got) == want, argv
+        try:
+            built = vars(table.parse_args(argv))
+        except SystemExit:
+            built = None
+        assert built == want and capsys.readouterr() == said, argv
+        outcomes["read" if got else "left to argparse" if want else "rejected"] += 1
+    assert min(outcomes.values()) > 100, outcomes

@@ -6,8 +6,10 @@ Each case is a fresh interpreter, timed from start to exit:
 
   python -c pass    the bare interpreter
   import gf4codes   the library
-  import cli        the library and `gf4codes.cli`, argparse included
-  build_parser()    the same, then the CLI's parser built once
+  import cli        the library and `gf4codes.cli`, which does not import
+                    argparse
+  build_parser()    the same, then argparse imported and the CLI's parser
+                    built once, as for `--help` and usage errors only
   double            the README `double` command, emitting into a
                     temporary directory
   quantum           the README `quantum` command on the emitted file
