@@ -41,7 +41,7 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from .codes import LinearCode
-from .enumerator import DEFAULT_MAX_DIM, dual_distance
+from .enumerator import DEFAULT_MAX_DIM, _check_budget, dual_distance
 from .errors import PreconditionError, _Record
 from .gf4 import GF4Vector, _orthogonal, concat, hermitian_inner
 
@@ -255,8 +255,10 @@ def double_pair(c1: LinearCode, c2: LinearCode,
                 *, max_dim: int = DEFAULT_MAX_DIM) -> DoublingResult:
     """Both doubled codes, the auxiliary codes C11 and C22, and the bounds.
 
-    The inputs are validated here, so a bad pair or vector fails at once;
-    the codes and bounds of the result are built when first read.
+    The inputs are validated here, so a bad pair, vector or `max_dim`
+    fails at once; the codes and bounds of the result are built when first
+    read.
     """
+    _check_budget(0, max_dim)
     xo1, xo2 = _checked(c1, c2, x1, x2)
     return DoublingResult(c1, c2, xo1, xo2, max_dim)

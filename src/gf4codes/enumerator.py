@@ -6,22 +6,18 @@ highest-index nonzero coefficient is 1.  Block r is row r plus the 4**r
 combinations of rows 0..r-1, indexed in binary Gray order over their 2r
 GF(2)-generators (each row and its omega multiple), and is cut into
 aligned chunks of up to 4**7 words, each an offset plus the whole span of
-the lowest generators.  The projective index range may be split into
-contiguous partitions whose histograms are summed, and one loop takes the
-chunks each partition's share of a block overlaps, one at a time, for
-only the blocks the partition overlaps.  A
-whole chunk that holds at least 5 words per coordinate, where the two
-cost about the same, is counted bitsliced: one 4**7-bit integer per
-coordinate, bit s set when word s is nonzero there, read from the
-column's key in two parity tables and summed by a carry-save adder into
-count planes, so it costs O(n) big-integer operations instead of one loop
-step per word.  Any other chunk, and the part of a chunk inside a
-partition, is walked word by word, two XORs and a popcount on the
-bitplanes each.  Either way its first word is one offset, row r plus the
-generators its Gray index selects (`_word`).  The counts are then tripled
-and the zero word added; the zero code has no projective words, so it
-needs no special case.  The result is bit-identical for any partition
-count.
+the lowest generators.  One loop takes every chunk of every block, one at
+a time, and counts it in one of two ways, both from its first word, row r
+plus the generators its Gray index selects (`_word`).  A chunk that holds
+at least 5 words per coordinate, where the two cost about the same, is
+counted bitsliced: one 4**7-bit integer per coordinate, bit s set when
+word s is nonzero there, read from the column's key in two parity tables
+and summed by a carry-save adder into count planes, so it costs O(n)
+big-integer operations instead of one loop step per word.  Every other
+chunk is walked word by word, two XORs and a popcount on the bitplanes
+each.  The counts are then tripled and the zero word added; the zero code
+has no projective words, so it needs no special case.  The `partitions`
+argument is checked and has no other effect: every count is the same.
 
 The MacWilliams transform reads whole Krawtchouk columns, each built by the
 exact three-term recurrence and cached per (n, i).
@@ -43,7 +39,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 from .codes import LinearCode
 from .errors import BudgetExceededError, ConsistencyError, FormatError, _Record
@@ -87,8 +83,12 @@ def _check_budget(k: int, max_dim: int) -> None:
 
 def weight_enumerator(code: LinearCode, *, max_dim: int = DEFAULT_MAX_DIM,
                       partitions: int = 1) -> WeightEnumerator:
-    """Exact weight enumerator from the (4**k - 1)/3 projective codewords."""
-    if partitions < 1:
+    """Exact weight enumerator from the (4**k - 1)/3 projective codewords.
+
+    `partitions` must be an integer >= 1 and does not change the count; it
+    is kept so that existing callers and `wenum --partitions` still work.
+    """
+    if index(partitions) < 1:
         raise ValueError("partitions must be >= 1")
     _check_budget(code.k, max_dim)
     n, k = code.n, code.k
@@ -96,10 +96,6 @@ def weight_enumerator(code: LinearCode, *, max_dim: int = DEFAULT_MAX_DIM,
     # GF(2)-generators as (lo, hi) bitplane pairs: each row and its omega
     # multiple.  The 2**(2k) subset sums are exactly the 4**k codewords.
     bg = [m for row in code.rows for m in _multiples(row.lo, row.hi)[:2]]
-    total = ((1 << (2 * k)) - 1) // 3
-    # Past `total` partitions every nonempty one holds a single word, as it
-    # does with exactly `total`, and the rest are empty: walk only those.
-    parts = min(partitions, total)
     inner = code.rows[:min(k - 1, _SLICE_MAX_ROWS)]
     if k and 1 << 2 * len(inner) >= _SLICE_MIN_WORDS_PER_COORD * n:
         # Bit t of a column's key is that coordinate of the constant plane
@@ -109,29 +105,19 @@ def weight_enumerator(code: LinearCode, *, max_dim: int = DEFAULT_MAX_DIM,
         # smaller chunk reads the keys' low bits alone.
         packed = _column_lanes(inner, n, 2)
         keys = (_unpack_lanes(packed, n, 2), _unpack_lanes(_lane_omega(packed, n, 2), n, 2))
-    for p in range(parts):
-        a, b = total * p // parts, total * (p + 1) // parts
-        # Block r holds projective indices first .. first + 4**r - 1, where
-        # first = (4**r - 1)/3, so index x is in the block r with
-        # 4**r <= 3x + 1 < 4**(r + 1); count the partition's share of each
-        # block from that of a to that of b - 1.
-        for r in range((3 * a + 1).bit_length() - 1 >> 1, (3 * b - 2).bit_length() + 1 >> 1):
-            first = ((1 << (2 * r)) - 1) // 3
-            lo_j = max(a - first, 0)
-            hi_j = min(b - first, 1 << (2 * r))
-            # Gray index j = h * 2**m + l has gray(j) = gray(h) << m, xor
-            # gray(l), xor bit m - 1 when h is odd.  So the words of an
-            # aligned chunk h are row r plus the outer generators at
-            # gray(h) plus the whole span of the m inner ones.  Each chunk
-            # the share overlaps is sliced when whole, else walked.
-            m = 2 * min(r, _SLICE_MAX_ROWS)
-            sliced = 1 << m >= _SLICE_MIN_WORDS_PER_COORD * n
-            for h in range(lo_j >> m, -(-hi_j >> m)):
-                start, stop = max(lo_j, h << m), min(hi_j, h + 1 << m)
-                if sliced and stop - start == 1 << m:
-                    _sliced(counts, m, *keys, *_word(bg, r, h ^ h >> 1, m), n)
-                else:
-                    _walk(counts, bg, r, start, stop)
+    for r in range(k):
+        # Gray index j = h * 2**m + l has gray(j) = gray(h) << m, xor
+        # gray(l), xor bit m - 1 when h is odd.  So the words of an aligned
+        # chunk h are row r plus the outer generators at gray(h) plus the
+        # whole span of the m inner ones.
+        m = 2 * min(r, _SLICE_MAX_ROWS)
+        sliced = 1 << m >= _SLICE_MIN_WORDS_PER_COORD * n
+        for h in range(1 << 2 * r - m):
+            lo, hi = _word(bg, r, h ^ h >> 1, m)
+            if sliced:
+                _sliced(counts, m, *keys, lo, hi, n)
+            else:
+                _walk(counts, bg, m, lo, hi)
     counts = [3 * c for c in counts]
     counts[0] = 1
     return WeightEnumerator(tuple(counts))
@@ -148,11 +134,14 @@ def _word(bg: list[tuple[int, int]], r: int, g: int, first: int) -> tuple[int, i
     return lo, hi
 
 
-def _walk(counts: list[int], bg: list[tuple[int, int]], r: int, start: int, stop: int) -> None:
-    """Count block r's words at Gray indices start .. stop - 1 (start < stop), one at a time."""
-    lo, hi = _word(bg, r, start ^ start >> 1, 0)
+def _walk(counts: list[int], bg: list[tuple[int, int]], m: int, lo: int, hi: int) -> None:
+    """Count the 2**m words (lo, hi) + span of generators 0..m-1, one at a time.
+
+    Word j is word j - 1 plus generator t, the lowest set bit of j: the
+    one bit where the Gray codes of j - 1 and j differ.
+    """
     counts[(lo | hi).bit_count()] += 1
-    for j in range(start + 1, stop):
+    for j in range(1, 1 << m):
         glo, ghi = bg[(j & -j).bit_length() - 1]
         lo ^= glo
         hi ^= ghi

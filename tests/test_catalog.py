@@ -3,7 +3,8 @@
 import pytest
 
 from gf4codes import (CatalogKeyError, ConsistencyError, GF4Vector, LinearCode, catalog,
-                      circulant, dual_distance, min_distance, weight_enumerator)
+                      circulant, cyclic_shift, dual_distance, min_distance,
+                      weight_enumerator)
 
 REQUIRED = {"c5_2", "c13_6_a", "c13_6_b", "hexacode_shortened"}
 
@@ -43,6 +44,18 @@ def test_circulant_entries_regenerate():
         code = catalog.get(name).code
         rebuilt = circulant(GF4Vector.from_digits(first), 6)
         assert code.rows == rebuilt.rows
+
+
+def test_c13_6_entries_span_one_cyclic_code():
+    # Two generator matrices of one code: the rows differ, the row space
+    # does not, and it is closed under the cyclic shift.
+    a = catalog.get("c13_6_a").code
+    b = catalog.get("c13_6_b").code
+    assert a.same_row_space(b)
+    assert a != b
+    for code in (a, b):
+        for row in a.rows + b.rows:
+            assert code.contains(cyclic_shift(row))
 
 
 def test_shortened_entries_derive_from_parents():

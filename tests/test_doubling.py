@@ -324,6 +324,14 @@ def test_double_pair_matches_parts():
     assert res.bound_double_prime == min(d11, dual_distance(res.c22))
 
 
+def test_double_pair_rejects_a_negative_budget_at_once():
+    # The budget is checked at the call, before any bound is read.
+    code, x = c5_2(), allones(5)
+    with pytest.raises(ValueError, match="max_dim must be nonnegative, got -1"):
+        double_pair(code, code, x, x, max_dim=-1)
+    assert double_pair(code, code, x, x, max_dim=0).code_prime.k == 3
+
+
 def test_randomized_doubles():
     rng = random.Random(51)
     for _ in range(10):

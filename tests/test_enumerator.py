@@ -81,8 +81,8 @@ def test_matches_naive_enumeration():
 
 
 def test_partition_counts_are_equivalent():
-    # A [65,4] code has (4^4 - 1)/3 = 85 projective codewords, in blocks
-    # of 1, 4, 16 and 64; 85 and 86 partitions straddle that count.
+    # `partitions` is accepted and changes nothing, also past the 85
+    # projective codewords of a [65,4] code.
     rng = random.Random(41)
     codes = [oracle.to_code(oracle.rand_code_rows(rng, 9, 3)),
              oracle.to_code(oracle.rand_code_rows(rng, 65, 4)),
@@ -94,7 +94,7 @@ def test_partition_counts_are_equivalent():
 
 
 def test_partitions_past_the_projective_words_cost_nothing():
-    # c5_2 has 5 projective words; every partition past the fifth is empty.
+    # c5_2 has 5 projective words; a larger partition count changes nothing.
     code = catalog.get("c5_2").code
     base = weight_enumerator(code)
     for parts in (5, 6, 3_000_000, 10 ** 12):
@@ -112,15 +112,15 @@ def test_matches_naive_enumeration_past_a_machine_word():
 
 
 def test_bitsliced_chunks_match_naive_enumeration(monkeypatch):
-    # Chunks of 4^2 words, bitsliced at any length: blocks past row 2 take
-    # several chunks with outer offsets, and partitions cut chunks at both
-    # ends, so every path of the chunked count is taken.  Every length up
-    # to 70 sums its planes to every count depth up to 7, including the
-    # lengths 2^j - 1, 2^j and 2^j + 1 where the count gains a plane.  A
-    # code whose length is a multiple of 3 and exceeds k has a zero column,
-    # whose plane and carries are zero.
+    # Chunks of 4^2 words: blocks past row 2 take several chunks with outer
+    # offsets, and each is counted at every length once sliced (threshold
+    # 0) and once walked (a threshold no chunk meets), so both paths of the
+    # chunked count are taken.  Every length up to 70 sums its planes to
+    # every count depth up to 7, including the lengths 2^j - 1, 2^j and
+    # 2^j + 1 where the count gains a plane.  A code whose length is a
+    # multiple of 3 and exceeds k has a zero column, whose plane and
+    # carries are zero.
     monkeypatch.setattr(enumerator, "_SLICE_MAX_ROWS", 2)
-    monkeypatch.setattr(enumerator, "_SLICE_MIN_WORDS_PER_COORD", 0)
     rng = random.Random(47)
     for n in range(1, 71):
         k = rng.randrange(1, min(n, 5) + 1)
@@ -131,18 +131,22 @@ def test_bitsliced_chunks_match_naive_enumeration(monkeypatch):
             rows = [r[:zero] + (0,) + r[zero:] for r in oracle.rand_code_rows(rng, n - 1, k)]
         code = oracle.to_code(rows)
         want = oracle.owenum(rows, n)
-        for parts in (1, 2, 3, 7, 20):
-            assert list(weight_enumerator(code, partitions=parts).coefficients) == want
+        for threshold in (0, 10 ** 9):
+            monkeypatch.setattr(enumerator, "_SLICE_MIN_WORDS_PER_COORD", threshold)
+            assert list(weight_enumerator(code).coefficients) == want, (n, threshold)
 
 
-def test_bitsliced_blocks_match_the_walk():
-    # One partition per projective word leaves no chunk whole, so that
-    # count is walked word by word; the default one chunks the large
-    # blocks of these codes, past a machine word too.
+def test_bitsliced_blocks_match_the_walk(monkeypatch):
+    # The default threshold chunks the large blocks of these codes, past a
+    # machine word too; a threshold no chunk meets walks every chunk word
+    # by word.
     rng = random.Random(48)
     for n, k in ((5, 5), (13, 6), (40, 6), (70, 7), (130, 7)):
         code = oracle.to_code(oracle.rand_code_rows(rng, n, k))
-        assert weight_enumerator(code) == weight_enumerator(code, partitions=10 ** 12), (n, k)
+        sliced = weight_enumerator(code)
+        with monkeypatch.context() as patch:
+            patch.setattr(enumerator, "_SLICE_MIN_WORDS_PER_COORD", 10 ** 9)
+            assert weight_enumerator(code) == sliced, (n, k)
 
 
 def test_parity_tables_match_the_division_formula():
@@ -183,6 +187,13 @@ def test_bitsliced_count_holds_few_planes_at_once():
 def test_partition_validation():
     with pytest.raises(ValueError):
         weight_enumerator(catalog.get("c5_2").code, partitions=0)
+    # A count that is not an integer fails on every code, whether or not
+    # the code has a block to count.
+    for code in (catalog.get("c5_2").code, LinearCode([GF4Vector.from_digits("11")]),
+                 LinearCode((), n=3)):
+        for partitions in (2.5, 1.0, "2"):
+            with pytest.raises(TypeError):
+                weight_enumerator(code, partitions=partitions)
 
 
 def test_budget_enforcement():
